@@ -465,7 +465,7 @@ let solve t ~options (inst : Instance.t) =
   and cert0 = t.cert_proofs in
   let lb_classic = Solver.late_lower_bound inst in
   let lb = max lb_classic (cert_lower_bound t inst) in
-  let seed, warm_seeded = Solver.starting_incumbent ~options ~lb inst in
+  let seed, warm_seeded = Solver.starting_incumbent ?registry ~options ~lb inst in
   (* every dispatched plan is a future fix point for its tasks: remember it *)
   let remember (sol : Solution.t) =
     let note (task : T.task) =
@@ -534,25 +534,33 @@ let solve t ~options (inst : Instance.t) =
     Instance.pending_task_count inst > options.Solver.exact_task_limit
   then begin
     (* LNS regime: the neighbourhood moves each solve their own fragment
-       models — nothing for the persistent store to carry.  Fall back to the
-       ephemeral pipeline for this invocation without syncing. *)
-    let sol, st = Solver.solve_linked ~options ~link:Solver.null_link inst in
+       models — nothing for the persistent store to carry.  Hand this pass
+       to the ephemeral pipeline without syncing, with the seed, the classic
+       bound and the pass start already in hand.  The seed is exactly the
+       one the pipeline would compute: [starting_incumbent] consults the
+       bound only on its cache-hit path, which returns a seed at or below
+       it — ruled out here for [lb] and hence for [lb_classic <= lb]. *)
+    let sol, st =
+      Solver.solve_seeded ~options ~link:Solver.null_link ~t0 ~lb:lb_classic
+        ~seed:(seed, warm_seeded) inst
+    in
     remember sol;
     update_cert t ~proved:st.Obs.Solve_stats.proved_optimal inst sol;
-    let st =
+    let metrics =
       match session_metrics ~core:None () with
-      | None -> st
+      | None -> st.Obs.Solve_stats.metrics
       | Some snap ->
-          {
-            st with
-            Obs.Solve_stats.metrics =
-              Some
-                (match st.Obs.Solve_stats.metrics with
-                | None -> snap
-                | Some m -> Obs.Metrics.merge m snap);
-          }
+          Some
+            (match st.Obs.Solve_stats.metrics with
+            | None -> snap
+            | Some m -> Obs.Metrics.merge m snap)
     in
-    (sol, st)
+    ( sol,
+      {
+        st with
+        Obs.Solve_stats.metrics;
+        elapsed = Obs.Clock.now () -. t0;
+      } )
   end
   else begin
     let core = sync t inst in

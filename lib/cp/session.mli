@@ -54,7 +54,9 @@
     fails unexpectedly — the session rebuilds from scratch, which is
     precisely a cold store.  Instances past [options.exact_task_limit] fall
     back to the ephemeral LNS pipeline for that invocation (fragment models
-    are throwaway by design); the store stays synced throughout.
+    are throwaway by design), handed the session's seed, bound and pass
+    start through {!Solver.solve_seeded} so nothing is seeded twice; the
+    store stays synced throughout.
 
     A session serves one manager sequentially — it is not thread-safe and
     is not used by the multi-domain {!Portfolio} (managers run sessions

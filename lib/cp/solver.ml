@@ -108,46 +108,63 @@ let late_lower_bound (inst : Instance.t) =
     (fun acc j -> if job_doomed inst j then acc + 1 else acc)
     0 inst.Instance.jobs
 
+let count registry name v =
+  match registry with
+  | Some r -> Obs.Metrics.add (Obs.Metrics.counter r name) v
+  | None -> ()
+
 (* EDF sequence with provably-doomed jobs pushed last: a job that cannot meet
    its deadline in any schedule should not take resources ahead of savable
    ones — the sacrifice the CP objective makes naturally, pre-baked into a
    seed. *)
 let doomed_last_sequence (inst : Instance.t) =
-  let n = Array.length inst.Instance.jobs in
-  let seq = Array.init n (fun i -> i) in
+  let jobs = inst.Instance.jobs in
+  let doomed = Array.map (job_doomed inst) jobs in
+  let seq = Array.init (Array.length jobs) (fun i -> i) in
   let key i =
-    let j = inst.Instance.jobs.(i) in
-    let doomed =
-      if job_min_completion inst j > j.Instance.job.T.deadline then 1 else 0
-    in
-    (doomed, j.Instance.job.T.deadline, j.Instance.job.T.id)
+    (doomed.(i), jobs.(i).Instance.job.T.deadline, jobs.(i).Instance.job.T.id)
   in
   Array.sort (fun a b -> compare (key a) (key b)) seq;
   seq
 
 (* Best greedy seed across the orderings (plus the doomed-last variant),
    preferring the configured one on ties.  [?preferred] lets a caller that
-   already ran the configured ordering hand the result in. *)
-let greedy_seed ?preferred ~ordering inst =
-  let preferred =
-    match preferred with
-    | Some p -> p
-    | None -> Greedy.solve ~order:ordering inst
+   already ran the configured ordering hand the result in.  A pass is a pure
+   function of its job sequence, so a repeated sequence would only yield a
+   plan the strictly-better fold has already weighed; and a plan with 0 late
+   jobs has 0 tardiness, so nothing after it can be strictly better.  Both
+   skips therefore return exactly the four-pass fold's seed. *)
+let greedy_seed ?registry ?preferred ~ordering inst =
+  let passes = ref 0 and skipped = ref 0 in
+  let first = Greedy.sequence ordering inst in
+  let run sequence =
+    incr passes;
+    Greedy.solve_with_sequence inst sequence
   in
   let best =
-    List.fold_left
-      (fun best order ->
-        if order = ordering then best
-        else
-          let sol = Greedy.solve ~order inst in
-          if Solution.better sol best then sol else best)
-      preferred
-      [ Greedy.By_job_id; Greedy.Edf; Greedy.Least_laxity ]
+    ref (match preferred with Some p -> p | None -> run first)
   in
-  let doomed_last =
-    Greedy.solve_with_sequence inst (doomed_last_sequence inst)
+  let ran = ref [ first ] in
+  let race next =
+    if !best.Solution.late_jobs = 0 then incr skipped
+    else begin
+      let sequence = next () in
+      if List.mem sequence !ran then incr skipped
+      else begin
+        ran := sequence :: !ran;
+        let sol = run sequence in
+        if Solution.better sol !best then best := sol
+      end
+    end
   in
-  if Solution.better doomed_last best then doomed_last else best
+  List.iter
+    (fun order ->
+      if order <> ordering then race (fun () -> Greedy.sequence order inst))
+    [ Greedy.By_job_id; Greedy.Edf; Greedy.Least_laxity ];
+  race (fun () -> doomed_last_sequence inst);
+  count registry "seed/greedy_passes" !passes;
+  count registry "seed/orders_skipped" !skipped;
+  !best
 
 (* Freeze the pending tasks of every non-relaxed job at their incumbent
    start times, producing the LNS subproblem. *)
@@ -223,68 +240,64 @@ let frozen_fingerprint (inst : Instance.t) (incumbent : Solution.t) relax_set =
 (* Checks the same Table-1 constraints as [Solution.feasibility_errors] —
    every pending task has a start, starts respect est, reduces respect the
    job's latest-finishing-map time, pool capacities are never exceeded — but
-   with per-task arithmetic plus one event sweep per pool instead of
-   replaying every task through a capacity profile.  This runs on every
-   warm-started solve, where the profile replay was measured to cost as much
-   as a whole greedy pass. *)
+   with per-task arithmetic plus one bulk-loaded profile per pool instead of
+   replaying every task through [Profile.add].  This runs on every
+   warm-started solve, where the replay was measured to cost as much as a
+   whole greedy pass.  The first sweep copies each pending start into a flat
+   array (instance order: a job's maps, then its reduces), so building the
+   profiles does no further table lookups. *)
 let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
+  let jobs = inst.Instance.jobs in
+  let pending_starts = Array.make (Instance.pending_task_count inst) 0 in
+  let k = ref 0 in
   let ok = ref true in
-  let map_events = ref [] and reduce_events = ref [] in
-  let push evs start (task : T.task) =
-    evs :=
-      (start, task.T.capacity_req)
-      :: (start + task.T.exec_time, -task.T.capacity_req)
-      :: !evs
-  in
   Array.iter
     (fun (j : Instance.pending_job) ->
-      Array.iter
-        (fun (f : Instance.fixed_task) ->
-          push map_events f.Instance.start f.Instance.task)
-        j.Instance.fixed_maps;
-      Array.iter
-        (fun (f : Instance.fixed_task) ->
-          push reduce_events f.Instance.start f.Instance.task)
-        j.Instance.fixed_reduces;
       let lfmt = ref j.Instance.frozen_lfmt in
+      let visit check (task : T.task) =
+        match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
+        | None -> ok := false
+        | Some s ->
+            check s task;
+            pending_starts.(!k) <- s;
+            incr k
+      in
       Array.iter
-        (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-          | None -> ok := false
-          | Some s ->
-              if s < j.Instance.est then ok := false;
-              if s + task.T.exec_time > !lfmt then
-                lfmt := s + task.T.exec_time;
-              push map_events s task)
+        (visit (fun s task ->
+             if s < j.Instance.est then ok := false;
+             if s + task.T.exec_time > !lfmt then lfmt := s + task.T.exec_time))
         j.Instance.pending_maps;
       Array.iter
-        (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-          | None -> ok := false
-          | Some s ->
-              if s < !lfmt then ok := false;
-              push reduce_events s task)
+        (visit (fun s _ -> if s < !lfmt then ok := false))
         j.Instance.pending_reduces)
-    inst.Instance.jobs;
-  let capacity_ok events capacity =
-    let evs = Array.of_list !events in
-    (* releases sort before acquisitions at equal times, so back-to-back
-       tasks on the same slot don't double-count *)
-    Array.sort
-      (fun (t1, d1) (t2, d2) ->
-        if t1 <> t2 then compare t1 t2 else compare d1 d2)
-      evs;
-    let load = ref 0 and fits = ref true in
-    Array.iter
-      (fun (_, delta) ->
-        load := !load + delta;
-        if !load > capacity then fits := false)
-      evs;
-    !fits
+    jobs;
+  let pool_fits ~capacity ~maps =
+    let profile =
+      Sched.Profile.of_tasks ~capacity (fun emit ->
+          let emit_task start (task : T.task) =
+            emit ~start ~duration:task.T.exec_time ~amount:task.T.capacity_req
+          in
+          let k = ref 0 in
+          Array.iter
+            (fun (j : Instance.pending_job) ->
+              Array.iter
+                (fun (f : Instance.fixed_task) ->
+                  emit_task f.Instance.start f.Instance.task)
+                (if maps then j.Instance.fixed_maps else j.Instance.fixed_reduces);
+              let n_maps = Array.length j.Instance.pending_maps in
+              let base = if maps then !k else !k + n_maps in
+              Array.iteri
+                (fun i task -> emit_task pending_starts.(base + i) task)
+                (if maps then j.Instance.pending_maps
+                 else j.Instance.pending_reduces);
+              k := !k + n_maps + Array.length j.Instance.pending_reduces)
+            jobs)
+    in
+    Sched.Profile.max_usage profile <= capacity
   in
   !ok
-  && capacity_ok map_events inst.Instance.map_capacity
-  && capacity_ok reduce_events inst.Instance.reduce_capacity
+  && pool_fits ~capacity:inst.Instance.map_capacity ~maps:true
+  && pool_fits ~capacity:inst.Instance.reduce_capacity ~maps:false
 
 (* Complete a carried-over plan into a full candidate solution for the
    updated instance.  A job is "covered" when every one of its pending tasks
@@ -346,8 +359,8 @@ let warm_candidate (inst : Instance.t) (inc : incumbent) =
    ordering, and only when it loses does the full multi-ordering cold seed
    run.  Ties go to the warm plan — it minimizes churn against the previous
    schedule.  The returned flag records whether the warm candidate won. *)
-let starting_incumbent ~options ?lb inst =
-  let cold () = (greedy_seed ~ordering:options.ordering inst, false) in
+let starting_incumbent ?registry ~options ?lb inst =
+  let cold () = (greedy_seed ?registry ~ordering:options.ordering inst, false) in
   match options.warm_start with
   | None -> cold ()
   | Some inc -> (
@@ -360,8 +373,11 @@ let starting_incumbent ~options ?lb inst =
           (warm, true)
       | Some warm ->
           let preferred = Greedy.solve ~order:options.ordering inst in
+          count registry "seed/greedy_passes" 1;
           if not (Solution.better preferred warm) then (warm, true)
-          else (greedy_seed ~preferred ~ordering:options.ordering inst, false))
+          else
+            ( greedy_seed ?registry ~preferred ~ordering:options.ordering inst,
+              false ))
 
 (* Drain a searched store's per-propagator telemetry into the registry. *)
 let harvest_store registry store =
@@ -444,14 +460,13 @@ let run_exact ?tie_break ?registry ?kernel ?(restart = Restart.Off) ?nogoods
   | None -> ());
   outcome
 
-let solve_linked ~options ~link (inst : Instance.t) =
-  let t0 = Obs.Clock.now () in
+(* Everything after the seed: the bound check, then exact search or LNS.
+   [t0] is the pass start — the origin of [elapsed] and the anchor of the
+   [time_limit] deadline — so a caller that seeded before handing over is
+   charged for its seeding too. *)
+let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
+    (inst : Instance.t) =
   let deadline = t0 +. options.time_limit in
-  let registry =
-    if options.instrument then Some (Obs.Metrics.create ()) else None
-  in
-  let lb = late_lower_bound inst in
-  let seed_sol, warm_seeded = starting_incumbent ~options ~lb inst in
   link.announce seed_sol.Solution.late_jobs;
   let nodes = ref 0
   and failures = ref 0
@@ -649,6 +664,19 @@ let solve_linked ~options ~link (inst : Instance.t) =
       finish !incumbent (!incumbent.Solution.late_jobs <= lb) ~stop
     end
   end
+
+let new_registry options =
+  if options.instrument then Some (Obs.Metrics.create ()) else None
+
+let solve_linked ~options ~link (inst : Instance.t) =
+  let t0 = Obs.Clock.now () in
+  let registry = new_registry options in
+  let lb = late_lower_bound inst in
+  let seed = starting_incumbent ?registry ~options ~lb inst in
+  search_from ~options ~link ~registry ~t0 ~lb seed inst
+
+let solve_seeded ~options ~link ~t0 ~lb ~seed inst =
+  search_from ~options ~link ~registry:(new_registry options) ~t0 ~lb seed inst
 
 let solve ?(options = default_options) (inst : Instance.t) =
   solve_linked ~options ~link:null_link inst

@@ -127,14 +127,44 @@ val solve_linked :
     read-only instance and the [link] callbacks, and is therefore safe to
     run on its own domain (see {!Portfolio}). *)
 
+val solve_seeded :
+  options:options ->
+  link:link ->
+  t0:float ->
+  lb:int ->
+  seed:Sched.Solution.t * bool ->
+  Sched.Instance.t ->
+  Sched.Solution.t * stats
+(** The pipeline of {!solve_linked} after its seed: the caller has already
+    computed [lb = late_lower_bound inst] and [seed = starting_incumbent
+    ~options ~lb inst] (or a call that provably returns the same pair), and
+    [t0] is when its pass started.  [t0] anchors both the [time_limit]
+    deadline and [elapsed], so the returned stats cover the caller's
+    bound and seed as well.  {!Session}'s LNS regime hands over through
+    here instead of seeding a second time.  The [metrics] registry (when
+    instrumented) is fresh: counters the caller recorded while seeding are
+    the caller's to merge. *)
+
 val greedy_seed :
+  ?registry:Obs.Metrics.t ->
   ?preferred:Sched.Solution.t ->
   ordering:Sched.Greedy.order -> Sched.Instance.t -> Sched.Solution.t
 (** Best greedy solution across the three §VI.B orderings plus the
-    doomed-last variant, preferring [ordering] on ties — the cold seed
-    {!solve} starts from.  Deterministic; exported so the portfolio
-    coordinator can take the seed-is-optimal shortcut without spawning
-    domains. *)
+    doomed-last variant (EDF with provably doomed jobs last), preferring
+    [ordering] on ties — the cold seed {!solve} starts from.  [?preferred]
+    is the [ordering] pass when the caller already ran it.
+
+    The race is an order-preserving fold of {!Sched.Solution.better}, and
+    it does no more list-scheduling passes than it must: a job sequence
+    equal to one already run is skipped (the orderings often coincide;
+    doomed-last equals EDF whenever no job is doomed), and the race stops
+    as soon as the best seed has 0 late jobs (hence 0 tardiness: nothing
+    can be strictly better).  The result is exactly the seed of the full
+    four-pass fold.  With [?registry], the counters [seed/greedy_passes]
+    (passes run, the [?preferred] one excluded) and [seed/orders_skipped]
+    (race entries not run) grow accordingly.  Deterministic; exported so the
+    portfolio coordinator can take the seed-is-optimal shortcut without
+    spawning domains. *)
 
 val warm_candidate :
   Sched.Instance.t -> incumbent -> Sched.Solution.t option
@@ -148,7 +178,15 @@ val warm_candidate :
     fast path (skip the solve when the candidate already meets
     {!late_lower_bound}). *)
 
+val candidate_feasible : Sched.Instance.t -> Sched.Solution.t -> bool
+(** Fast Table-1 check of a complete plan: every pending task has a start,
+    maps start at or after est, reduces at or after their job's latest map
+    finish, and neither pool's capacity is exceeded at any time (fixed tasks
+    included).  Per-task arithmetic plus one bulk-loaded profile per pool;
+    {!warm_candidate} runs it on every candidate it returns. *)
+
 val starting_incumbent :
+  ?registry:Obs.Metrics.t ->
   options:options -> ?lb:int -> Sched.Instance.t ->
   Sched.Solution.t * bool
 (** The incumbent the seed → bound → B&B/LNS pipeline actually starts from:
@@ -157,7 +195,9 @@ val starting_incumbent :
     minimize schedule churn).  The flag is [true] iff the warm candidate was
     adopted.  Passing [?lb] (from {!late_lower_bound}) enables the
     plan-cache-hit fast path: a warm candidate that already meets the bound
-    is returned without computing any greedy seed. *)
+    is returned without computing any greedy seed.  [?registry] receives
+    the [seed/*] counters of {!greedy_seed}, the warm race's single pass
+    included. *)
 
 val late_lower_bound : Sched.Instance.t -> int
 (** Number of jobs that are late in {e every} schedule: est plus the

@@ -23,21 +23,29 @@ let by_duration_desc (a : T.task) (b : T.task) =
   let c = compare b.T.exec_time a.T.exec_time in
   if c <> 0 then c else compare a.T.task_id b.T.task_id
 
+(* The fixed (running or frozen) tasks of one pool, bulk-loaded. *)
+let fixed_profile (inst : Instance.t) ~capacity fixed_of =
+  Profile.of_tasks ~capacity (fun emit ->
+      Array.iter
+        (fun (j : Instance.pending_job) ->
+          Array.iter
+            (fun (f : Instance.fixed_task) ->
+              emit ~start:f.Instance.start ~duration:f.Instance.task.T.exec_time
+                ~amount:f.Instance.task.T.capacity_req)
+            (fixed_of j))
+        inst.Instance.jobs)
+
 let schedule_sequence (inst : Instance.t) sequence =
-  let map_profile = Profile.create ~capacity:inst.Instance.map_capacity in
-  let reduce_profile = Profile.create ~capacity:inst.Instance.reduce_capacity in
   (* fixed tasks occupy their frozen windows first *)
-  Array.iter
-    (fun (j : Instance.pending_job) ->
-      let occupy profile (f : Instance.fixed_task) =
-        Profile.add profile ~start:f.Instance.start
-          ~duration:f.Instance.task.T.exec_time
-          ~amount:f.Instance.task.T.capacity_req
-      in
-      Array.iter (occupy map_profile) j.Instance.fixed_maps;
-      Array.iter (occupy reduce_profile) j.Instance.fixed_reduces)
-    inst.Instance.jobs;
-  let starts = Hashtbl.create 256 in
+  let map_profile =
+    fixed_profile inst ~capacity:inst.Instance.map_capacity (fun j ->
+        j.Instance.fixed_maps)
+  in
+  let reduce_profile =
+    fixed_profile inst ~capacity:inst.Instance.reduce_capacity (fun j ->
+        j.Instance.fixed_reduces)
+  in
+  let starts = Hashtbl.create (max 16 (Instance.pending_task_count inst)) in
   let place profile ~floor (task : T.task) =
     let start =
       Profile.earliest_fit profile ~from:floor ~duration:task.T.exec_time
@@ -81,9 +89,12 @@ let solve_with_sequence inst sequence =
     sequence;
   schedule_sequence inst sequence
 
-let solve ?(order = Edf) (inst : Instance.t) =
+let sequence order (inst : Instance.t) =
   let n = Array.length inst.Instance.jobs in
   let sequence = Array.init n (fun i -> i) in
   let cmp a b = compare_jobs order inst.Instance.jobs.(a) inst.Instance.jobs.(b) in
   Array.sort cmp sequence;
-  schedule_sequence inst sequence
+  sequence
+
+let solve ?(order = Edf) (inst : Instance.t) =
+  schedule_sequence inst (sequence order inst)

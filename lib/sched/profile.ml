@@ -82,6 +82,51 @@ let remove t ~start ~duration ~amount =
   if amount < 0 then invalid_arg "Profile.remove: negative amount";
   apply t ~start ~duration ~amount:(-amount)
 
+(* Bulk load: every boundary the tasks' [add]s would insert, sorted and
+   deduplicated, then +amount at each start and -amount at each end and one
+   prefix-sum sweep.  The boundary array becomes the profile's own [times],
+   so the only temporaries are the sort's scratch and nothing is blitted per
+   task.  [iter] runs three times: count, collect, accumulate. *)
+let of_tasks ~capacity iter =
+  let t = create ~capacity in
+  let len = ref 0 in
+  iter (fun ~start:_ ~duration ~amount ->
+      if duration < 0 then invalid_arg "Profile.of_tasks: negative duration";
+      if amount < 0 then invalid_arg "Profile.of_tasks: negative amount";
+      if duration > 0 && amount > 0 then len := !len + 2);
+  let times = Array.make !len 0 in
+  let k = ref 0 in
+  iter (fun ~start ~duration ~amount ->
+      if duration > 0 && amount > 0 then begin
+        times.(!k) <- start;
+        times.(!k + 1) <- start + duration;
+        k := !k + 2
+      end);
+  Array.stable_sort
+    (fun (a : int) b -> if a < b then -1 else if a > b then 1 else 0)
+    times;
+  let n = ref 0 in
+  Array.iter
+    (fun x ->
+      if !n = 0 || times.(!n - 1) <> x then begin
+        times.(!n) <- x;
+        incr n
+      end)
+    times;
+  t.times <- times;
+  t.usage <- Array.make !len 0;
+  t.n <- !n;
+  iter (fun ~start ~duration ~amount ->
+      if duration > 0 && amount > 0 then begin
+        let i = floor_index t start and j = floor_index t (start + duration) in
+        t.usage.(i) <- t.usage.(i) + amount;
+        t.usage.(j) <- t.usage.(j) - amount
+      end);
+  for i = 1 to !n - 1 do
+    t.usage.(i) <- t.usage.(i) + t.usage.(i - 1)
+  done;
+  t
+
 let fits t ~start ~duration ~amount =
   if duration <= 0 || amount = 0 then true
   else begin

@@ -22,6 +22,20 @@ val add : t -> start:int -> duration:int -> amount:int -> unit
 (** Occupy [amount] units over [start, start+duration).  Zero-duration tasks
     occupy nothing.  No overflow check — see {!fits} / {!val-max_usage}. *)
 
+val of_tasks :
+  capacity:int ->
+  ((start:int -> duration:int -> amount:int -> unit) -> unit) ->
+  t
+(** [of_tasks ~capacity iter] is the profile that {!create} followed by one
+    {!add} per task [iter] emits would build — the same {!steps}, boundary
+    for boundary — but loaded with one sort-and-sweep over the tasks'
+    boundaries instead of one sorted-array insert (and tail blit) per task.
+    The greedy schedulers use it to pre-load the fixed (running or frozen)
+    tasks, which can number in the hundreds of thousands over an open
+    stream.  [iter] must emit the same tasks each time it is called; it is
+    called three times.
+    @raise Invalid_argument on a negative duration or amount, as {!add}. *)
+
 val remove : t -> start:int -> duration:int -> amount:int -> unit
 (** Inverse of {!add} (used by LNS relaxation). *)
 
