@@ -66,9 +66,10 @@ type cert = {
 
 type t = {
   restart : Restart.policy;
-  (* realized start per dispatched task: filled from every returned plan and
-     every freeze, read when a task leaves the instance (completed) and its
-     variable must be fixed at the start it actually ran at *)
+  (* realized start per dispatched task of the store: filled from every
+     returned plan and every freeze, read when a task leaves the instance
+     (completed) and its variable must be fixed at the start it actually
+     ran at *)
   last_starts : (int, int) Hashtbl.t;
   mutable core : core option;
   mutable cert : cert option;
@@ -466,18 +467,27 @@ let solve t ~options (inst : Instance.t) =
   let lb_classic = Solver.late_lower_bound inst in
   let lb = max lb_classic (cert_lower_bound t inst) in
   let seed, warm_seeded = Solver.starting_incumbent ?registry ~options ~lb inst in
-  (* every dispatched plan is a future fix point for its tasks: remember it *)
+  (* every dispatched plan is a future fix point for its tasks: remember it
+     for the tasks the store holds — only those are ever retired from it.
+     A task the store does not hold yet enters it through a later sync,
+     pending (no start needed), frozen (its start comes with it) or not at
+     all (completed in between). *)
   let remember (sol : Solution.t) =
-    let note (task : T.task) =
-      match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-      | Some st -> Hashtbl.replace t.last_starts task.T.task_id st
-      | None -> ()
-    in
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        Array.iter note pj.Instance.pending_maps;
-        Array.iter note pj.Instance.pending_reduces)
-      inst.Instance.jobs
+    match t.core with
+    | None -> ()
+    | Some core ->
+        let note (task : T.task) =
+          let id = task.T.task_id in
+          if Hashtbl.mem core.tasks id then
+            match Hashtbl.find_opt sol.Solution.starts id with
+            | Some st -> Hashtbl.replace t.last_starts id st
+            | None -> ()
+        in
+        Array.iter
+          (fun (pj : Instance.pending_job) ->
+            Array.iter note pj.Instance.pending_maps;
+            Array.iter note pj.Instance.pending_reduces)
+          inst.Instance.jobs
   in
   let session_metrics ~core () =
     match registry with

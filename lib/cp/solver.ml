@@ -463,7 +463,11 @@ let run_exact ?tie_break ?registry ?kernel ?(restart = Restart.Off) ?nogoods
 (* Everything after the seed: the bound check, then exact search or LNS.
    [t0] is the pass start — the origin of [elapsed] and the anchor of the
    [time_limit] deadline — so a caller that seeded before handing over is
-   charged for its seeding too. *)
+   charged for its seeding too.  Without nogoods, an LNS move whose relaxed
+   job set and bound were already searched in vain against the current
+   incumbent is counted as a stall without running; [lns_moves], [nodes]
+   and [failures] count only the moves that ran, and [lns/moves_skipped]
+   the others. *)
 let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
     (inst : Instance.t) =
   let deadline = t0 +. options.time_limit in
@@ -576,6 +580,18 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
             !acc
         | Some _ | None -> []
       in
+      (* Fragments already searched in vain against the current incumbent,
+         keyed by (sorted relaxed job indices, bound to beat).  Without a
+         nogood database a move is a pure function of that key and the
+         incumbent: a fail-limited rerun walks the same tree to the same
+         cut, and a wall- or interrupt-cut move is the loop's last.  So a
+         recorded key is a stall without the rerun.  An improvement changes
+         the incumbent and clears the record (whatever the link's global
+         bound does next); nogoods make reruns differ, so no memo is kept
+         under them. *)
+      let memoize = db = None in
+      let futile = Hashtbl.create 16 in
+      let drawn = ref 0 and skipped = ref 0 in
       let continue () =
         !incumbent.Solution.late_jobs > lb
         && !stall < options.lns_max_stall
@@ -583,9 +599,9 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
         && not (link.should_stop ())
       in
       while continue () do
-        incr lns_moves;
+        incr drawn;
         let relax_set = Hashtbl.create 16 in
-        if !lns_moves = 1 then
+        if !drawn = 1 then
           List.iter (fun jdx -> Hashtbl.replace relax_set jdx ()) changed_idxs;
         (* all currently-late jobs ... *)
         Array.iteri
@@ -600,59 +616,80 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
         for _ = 1 to options.lns_neighbors do
           Hashtbl.replace relax_set (Simrand.Rng.int rng n_jobs) ()
         done;
-        let sub = freeze_except inst !incumbent relax_set in
-        let limits =
-          {
-            Search.fail_limit = options.fail_limit;
-            node_limit = 0;
-            wall_deadline = Some deadline;
-            interrupt = Some link.should_stop;
-            (* the subsearch walks a local neighbourhood; foreign bounds feed
-               in through [bound_to_beat] below, not mid-search, so the
-               isolated (sequential-replica) trajectory stays reproducible *)
-            tighten_bound = None;
-            on_improve = None;
-          }
-        in
         (* prune against the best solution found anywhere: a fragment is only
            worth exploring if it can beat the global incumbent *)
         let bound_to_beat =
           if link.isolated then !incumbent.Solution.late_jobs
           else min !incumbent.Solution.late_jobs (link.global_bound ())
         in
-        (* clauses survive to the next move exactly when its frozen context
-           is identical (common when consecutive moves relax the same late
-           jobs); otherwise the context switch clears them *)
-        (match db with
-        | Some d ->
-            Nogood.set_context d (frozen_fingerprint inst !incumbent relax_set)
-        | None -> ());
-        let run () =
-          run_exact ~tie_break:options.tie_break ?registry
-            ~kernel:options.kernel ~restart:options.restart ?nogoods:db
-            ~guide_sol:!incumbent sub ~bound_to_beat ~limits
+        let key =
+          ( List.sort compare
+              (Hashtbl.fold (fun jdx () acc -> jdx :: acc) relax_set []),
+            bound_to_beat )
         in
-        let outcome =
-          if Obs.Trace.enabled () then
-            Obs.Trace.with_span ~cat:"search" "lns-move"
-              ~args:[ ("relaxed_jobs", Obs.Trace.Int (Hashtbl.length relax_set)) ]
-              run
-          else run ()
-        in
-        nodes := !nodes + outcome.Search.nodes;
-        failures := !failures + outcome.Search.failures;
-        restarts := !restarts + outcome.Search.restarts;
-        match outcome.Search.best with
-        | Some partial ->
-            let merged = merge_starts inst !incumbent partial in
-            if Solution.better merged !incumbent then begin
-              incumbent := merged;
-              stall := 0;
-              link.announce merged.Solution.late_jobs
-            end
-            else incr stall
-        | None -> incr stall
+        if memoize && Hashtbl.mem futile key then begin
+          incr skipped;
+          incr stall
+        end
+        else begin
+          incr lns_moves;
+          let sub = freeze_except inst !incumbent relax_set in
+          let limits =
+            {
+              Search.fail_limit = options.fail_limit;
+              node_limit = 0;
+              wall_deadline = Some deadline;
+              interrupt = Some link.should_stop;
+              (* the subsearch walks a local neighbourhood; foreign bounds
+                 feed in through [bound_to_beat] above, not mid-search, so
+                 the isolated (sequential-replica) trajectory stays
+                 reproducible *)
+              tighten_bound = None;
+              on_improve = None;
+            }
+          in
+          (* clauses survive to the next move exactly when its frozen
+             context is identical (common when consecutive moves relax the
+             same late jobs); otherwise the context switch clears them *)
+          (match db with
+          | Some d ->
+              Nogood.set_context d
+                (frozen_fingerprint inst !incumbent relax_set)
+          | None -> ());
+          let run () =
+            run_exact ~tie_break:options.tie_break ?registry
+              ~kernel:options.kernel ~restart:options.restart ?nogoods:db
+              ~guide_sol:!incumbent sub ~bound_to_beat ~limits
+          in
+          let outcome =
+            if Obs.Trace.enabled () then
+              Obs.Trace.with_span ~cat:"search" "lns-move"
+                ~args:
+                  [
+                    ("relaxed_jobs", Obs.Trace.Int (Hashtbl.length relax_set));
+                  ]
+                run
+            else run ()
+          in
+          nodes := !nodes + outcome.Search.nodes;
+          failures := !failures + outcome.Search.failures;
+          restarts := !restarts + outcome.Search.restarts;
+          match outcome.Search.best with
+          | Some partial ->
+              let merged = merge_starts inst !incumbent partial in
+              if Solution.better merged !incumbent then begin
+                incumbent := merged;
+                stall := 0;
+                Hashtbl.reset futile;
+                link.announce merged.Solution.late_jobs
+              end
+              else incr stall
+          | None ->
+              if memoize then Hashtbl.replace futile key ();
+              incr stall
+        end
       done;
+      count registry "lns/moves_skipped" !skipped;
       (* mirror [continue]'s evaluation order for the attributed cause *)
       let stop =
         if !incumbent.Solution.late_jobs <= lb then Obs.Solve_stats.Proved

@@ -34,7 +34,12 @@ type options = {
   fail_limit : int;  (** failure budget per exact search (default 20_000) *)
   time_limit : float;  (** wall-clock seconds for the whole solve *)
   lns_neighbors : int;  (** extra random jobs relaxed per LNS move *)
-  lns_max_stall : int;  (** stop after this many non-improving moves *)
+  lns_max_stall : int;
+      (** stop after this many non-improving moves.  Without a nogood
+          database ([restart = Off]) a move that would repeat a relaxed job
+          set and bound already searched in vain against the same
+          incumbent is not run again — it explores the same tree — but
+          still counts as non-improving. *)
   seed : int;  (** randomization seed for LNS *)
   tie_break : Search.tie_break;
       (** SetTimes branching tie-break (default {!Search.Slack_first}); the
@@ -91,6 +96,9 @@ type stats = Obs.Solve_stats.t = {
   failures : int;
   restarts : int;  (** restart slice cuts, summed over all searches run *)
   lns_moves : int;
+      (** LNS moves searched; moves skipped as repeats of a futile
+          fragment are not counted here (instrumented solves count them
+          in [lns/moves_skipped]) *)
   elapsed : float;  (** wall-clock seconds spent *)
   metrics : Obs.Metrics.snapshot option;
       (** [Some] iff [options.instrument] was set *)

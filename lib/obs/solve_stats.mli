@@ -43,7 +43,9 @@ type t = {
   nodes : int;  (** branch-and-bound nodes explored *)
   failures : int;  (** search failures (dead ends) *)
   restarts : int;  (** restart-policy slice cuts across all searches run *)
-  lns_moves : int;  (** large-neighbourhood moves attempted (0: pure B&B) *)
+  lns_moves : int;
+      (** large-neighbourhood moves searched (0: pure B&B); a move skipped
+          as a repeat of a fragment already searched in vain is not one *)
   elapsed : float;  (** wall-clock seconds spent *)
   metrics : Metrics.snapshot option;
       (** per-propagator and solver metrics; [None] unless the solve ran

@@ -4,18 +4,37 @@
    0 before the first boundary.  Storing running usage (not deltas) lets
    queries binary-search a boundary and scan only the steps inside the window
    of interest, which keeps the greedy schedulers and the CP timetable fast
-   even with tens of thousands of tasks. *)
+   even with tens of thousands of tasks.
+
+   [earliest_fit] also remembers the congested run its last skip walked:
+   usage exceeds [hint_limit] on [hint_from, hint_to).  [add] only raises
+   usage and never deletes a boundary, so the run stays congested and the
+   boundary at [hint_to] stays put (its index may shift; its time does not);
+   a later call with the same [from] and limit resumes the walk there.
+   [remove] lowers usage and empties the run ([hint_to = hint_from]); an
+   empty run resumes the walk at [from] itself. *)
 
 type t = {
   capacity : int;
   mutable times : int array;
   mutable usage : int array;
   mutable n : int;
+  mutable hint_from : int;
+  mutable hint_limit : int;
+  mutable hint_to : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Profile.create: capacity must be > 0";
-  { capacity; times = Array.make 16 0; usage = Array.make 16 0; n = 0 }
+  {
+    capacity;
+    times = Array.make 16 0;
+    usage = Array.make 16 0;
+    n = 0;
+    hint_from = 0;
+    hint_limit = 0;
+    hint_to = 0;
+  }
 
 let capacity t = t.capacity
 
@@ -80,6 +99,7 @@ let add t ~start ~duration ~amount =
 let remove t ~start ~duration ~amount =
   if duration < 0 then invalid_arg "Profile.remove: negative duration";
   if amount < 0 then invalid_arg "Profile.remove: negative amount";
+  t.hint_to <- t.hint_from;
   apply t ~start ~duration ~amount:(-amount)
 
 (* Bulk load: every boundary the tasks' [add]s would insert, sorted and
@@ -148,17 +168,26 @@ let earliest_fit t ~from ~duration ~amount =
     invalid_arg "Profile.earliest_fit: amount exceeds capacity"
   else begin
     let limit = t.capacity - amount in
-    let candidate = ref from in
-    let i = ref (floor_index t from + 1) in
+    (* usage is > limit on [from, resume): known congested, not re-walked *)
+    let resume =
+      if t.hint_from = from && t.hint_limit = limit then t.hint_to else from
+    in
+    let candidate = ref resume in
+    let i = ref (floor_index t resume + 1) in
     (* invariant: usage is <= limit on [candidate, times.(i)) *)
     if !i > 0 && t.usage.(!i - 1) > limit then begin
-      (* the segment containing [from] is too full: jump to the next step
+      (* the segment containing [resume] is too full: jump to the next step
          where usage drops low enough *)
       while !i < t.n && t.usage.(!i) > limit do
         incr i
       done;
       candidate := (if !i < t.n then t.times.(!i) else t.times.(t.n - 1));
       incr i
+    end;
+    if !candidate > from then begin
+      t.hint_from <- from;
+      t.hint_limit <- limit;
+      t.hint_to <- !candidate
     end;
     let result = ref None in
     while !result = None do

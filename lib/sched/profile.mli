@@ -37,7 +37,8 @@ val of_tasks :
     @raise Invalid_argument on a negative duration or amount, as {!add}. *)
 
 val remove : t -> start:int -> duration:int -> amount:int -> unit
-(** Inverse of {!add} (used by LNS relaxation). *)
+(** Inverse of {!add} (used by LNS relaxation).  Forgets the congested run
+    {!earliest_fit} remembered. *)
 
 val usage_at : t -> int -> int
 (** Units in use at time [t]. *)
@@ -48,7 +49,17 @@ val fits : t -> start:int -> duration:int -> amount:int -> bool
 
 val earliest_fit : t -> from:int -> duration:int -> amount:int -> int
 (** Earliest [t >= from] such that [fits t].  Always terminates: after the
-    last profile step the profile is empty. *)
+    last profile step the profile is empty.
+
+    The profile remembers the congested run the last call skipped at its
+    start: usage above [capacity - amount] from [from] up to some [t'].
+    Since {!add} only raises usage and never deletes a step boundary, that
+    run stays congested, so the next call with the same [from] and [amount]
+    resumes its walk at [t'] (found by binary search on time) instead of
+    re-walking it — one greedy pass places all of a job's maps from the
+    same [from].
+    {!remove} clears the remembered run; {!create} and {!of_tasks} start
+    without one.  The result is exactly that of a fresh walk. *)
 
 val max_usage : t -> int
 (** Peak usage over all time (0 for an empty profile). *)

@@ -619,18 +619,19 @@ let prop_objective_at_least_lower_bound =
    random instances instead of three hand-written cases: a 1-domain portfolio
    run must be bit-identical to the sequential solver — same start for every
    task, same objective, same search counters, same proof flag. *)
+let bit_identity_options =
+  {
+    Cp.Solver.default_options with
+    Cp.Solver.exact_task_limit = 12;
+    time_limit = 60. (* never binds: stall/fail limits terminate; keep
+                         headroom so core contention from parallel suites
+                         cannot cut one arm short and break bit-identity *);
+    fail_limit = 2_000;
+    seed = 7;
+  }
+
 let prop_portfolio_domains1_bit_identical =
-  let options =
-    {
-      Cp.Solver.default_options with
-      Cp.Solver.exact_task_limit = 12;
-      time_limit = 60. (* never binds: stall/fail limits terminate; keep
-                           headroom so core contention from parallel suites
-                           cannot cut one arm short and break bit-identity *);
-      fail_limit = 2_000;
-      seed = 7;
-    }
-  in
+  let options = bit_identity_options in
   QCheck.Test.make ~count:200
     ~name:"portfolio domains=1 bit-identical to sequential solver"
     arb_instance (fun inst ->
@@ -652,6 +653,59 @@ let prop_portfolio_domains1_bit_identical =
       && seq.Cp.Solver.failures = base.Cp.Solver.failures
       && seq.Cp.Solver.lns_moves = base.Cp.Solver.lns_moves
       && seq.Cp.Solver.proved_optimal = base.Cp.Solver.proved_optimal)
+
+(* The bit-identity property's failing case under QCHECK_SEED=442944742:
+   its 131st instance with job 0 dropped by the shrinker, task ids as
+   generated there — four jobs on one map and one reduce slot.
+   Its LNS moves mostly relax every job, so each stall move used to re-run
+   the fragment the previous one had searched in vain — about 10M nodes
+   over twelve moves, long enough that both arms ran into the 60 s time
+   limit and stopped at different points.  The memo of futile fragments
+   skips those reruns: the solve ends on the stall limit, wall-clock free,
+   and the two arms agree. *)
+let test_portfolio_domains1_futile_moves () =
+  Gen.reset_tasks ~at:2559 ();
+  let j1 =
+    mk_job ~id:1 ~est:49 ~deadline:197 ~maps:[ 11; 27; 3 ]
+      ~reduces:[ 4; 22; 23 ] ()
+  in
+  let j2 =
+    mk_job ~id:2 ~est:17 ~deadline:124 ~maps:[ 7; 28; 23; 13 ] ~reduces:[ 17 ]
+      ()
+  in
+  let j3 =
+    mk_job ~id:3 ~est:22 ~deadline:164 ~maps:[ 28; 22; 20 ]
+      ~reduces:[ 3; 29; 10 ] ()
+  in
+  let j4 =
+    mk_job ~id:4 ~est:12 ~deadline:159 ~maps:[ 5; 11; 20 ]
+      ~reduces:[ 9; 16; 22 ] ()
+  in
+  let inst = instance ~map_cap:1 ~reduce_cap:1 [ j1; j2; j3; j4 ] in
+  let options = { bit_identity_options with Cp.Solver.instrument = true } in
+  let seq_sol, seq = Cp.Solver.solve ~options inst in
+  let skipped =
+    Option.bind seq.Cp.Solver.metrics (fun m ->
+        Obs.Metrics.find_counter m "lns/moves_skipped")
+    |> Option.value ~default:0
+  in
+  Alcotest.(check bool) "stopped on the stall limit" true
+    (seq.Cp.Solver.stop_reason = Obs.Solve_stats.Lns_stall);
+  Alcotest.(check bool)
+    (Printf.sprintf "futile moves skipped (%d searched, %d skipped)"
+       seq.Cp.Solver.lns_moves skipped)
+    true
+    (skipped > 0 && skipped >= seq.Cp.Solver.lns_moves);
+  let par_sol, p = Cp.Portfolio.solve ~domains:1 ~options inst in
+  let base = p.Cp.Portfolio.base in
+  check_same_solution "sequential vs 1-domain portfolio" seq_sol par_sol;
+  Alcotest.(check int) "nodes" seq.Cp.Solver.nodes base.Cp.Solver.nodes;
+  Alcotest.(check int) "failures" seq.Cp.Solver.failures
+    base.Cp.Solver.failures;
+  Alcotest.(check int) "lns moves" seq.Cp.Solver.lns_moves
+    base.Cp.Solver.lns_moves;
+  Alcotest.(check bool) "proof" seq.Cp.Solver.proved_optimal
+    base.Cp.Solver.proved_optimal
 
 let prop_portfolio_no_worse_than_sequential =
   QCheck.Test.make ~count:40
@@ -754,6 +808,8 @@ let () =
             test_portfolio_proves_optimal;
           Alcotest.test_case "tie-breaks agree on the optimum" `Quick
             test_tie_breaks_agree;
+          Alcotest.test_case "domains=1 identical past futile moves" `Quick
+            test_portfolio_domains1_futile_moves;
         ] );
       ( "direct formulation",
         [

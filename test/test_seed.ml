@@ -3,12 +3,13 @@
    The greedy seed is the incumbent almost every invocation installs, so
    its speedups must be invisible: the deduplicated, early-exiting ordering
    race ({!Cp.Solver.greedy_seed}), the bulk-loaded fixed-task profiles
-   ({!Sched.Profile.of_tasks}, used by every {!Sched.Greedy} pass) and the
-   flat-array plan check ({!Cp.Solver.candidate_feasible}) are each checked
-   against the straightforward implementation they replace, kept here as
-   the reference.  The instances go beyond [Gen]'s: fixed (running) tasks,
-   capacity requirements above 1, deadlines shared by several jobs, and
-   jobs doomed from the start.  Deterministic tests pin the [seed/*]
+   ({!Sched.Profile.of_tasks}, used by every {!Sched.Greedy} pass), the
+   congested run {!Sched.Profile.earliest_fit} remembers between calls and
+   the flat-array plan check ({!Cp.Solver.candidate_feasible}) are each
+   checked against the straightforward implementation they replace, kept
+   here as the reference.  The instances go beyond [Gen]'s: fixed (running)
+   tasks, capacity requirements above 1, deadlines shared by several jobs,
+   and jobs doomed from the start.  Deterministic tests pin the [seed/*]
    counters and the session's LNS hand-over (one seed per pass, [elapsed]
    covering the whole pass). *)
 
@@ -20,12 +21,52 @@ module Profile = Sched.Profile
 
 (* --- references: the per-task profile replay and the four-pass fold ------ *)
 
+(* [Profile.earliest_fit] without the remembered congested run: every call
+   walks the steps from [from], as the profile did before it kept a hint.
+   It runs on a copy of the steps, so it never reads or sets the hint. *)
+let ref_earliest_fit p ~from ~duration ~amount =
+  if duration <= 0 || amount = 0 then from
+  else begin
+    let steps = Array.of_list (Profile.steps p) in
+    let n = Array.length steps in
+    let time k = fst steps.(k) and usage k = snd steps.(k) in
+    let limit = Profile.capacity p - amount in
+    let floor_index t =
+      let res = ref (-1) in
+      Array.iteri (fun k (x, _) -> if x <= t then res := k) steps;
+      !res
+    in
+    let candidate = ref from in
+    let i = ref (floor_index from + 1) in
+    if !i > 0 && usage (!i - 1) > limit then begin
+      while !i < n && usage !i > limit do
+        incr i
+      done;
+      candidate := (if !i < n then time !i else time (n - 1));
+      incr i
+    end;
+    let result = ref None in
+    while !result = None do
+      if !i >= n || time !i >= !candidate + duration then
+        result := Some !candidate
+      else if usage !i > limit then begin
+        while !i < n && usage !i > limit do
+          incr i
+        done;
+        candidate := (if !i < n then time !i else time (n - 1));
+        incr i
+      end
+      else incr i
+    done;
+    Option.get !result
+  end
+
 let by_duration_desc (a : T.task) (b : T.task) =
   let c = compare b.T.exec_time a.T.exec_time in
   if c <> 0 then c else compare a.T.task_id b.T.task_id
 
 (* One greedy pass with every fixed task added to the profiles one
-   [Profile.add] at a time. *)
+   [Profile.add] at a time, and every placement found by a fresh walk. *)
 let ref_schedule (inst : Instance.t) sequence =
   let map_profile = Profile.create ~capacity:inst.Instance.map_capacity in
   let reduce_profile = Profile.create ~capacity:inst.Instance.reduce_capacity in
@@ -42,7 +83,7 @@ let ref_schedule (inst : Instance.t) sequence =
   let starts = Hashtbl.create 256 in
   let place profile ~floor (task : T.task) =
     let start =
-      Profile.earliest_fit profile ~from:floor ~duration:task.T.exec_time
+      ref_earliest_fit profile ~from:floor ~duration:task.T.exec_time
         ~amount:task.T.capacity_req
     in
     Profile.add profile ~start ~duration:task.T.exec_time
@@ -322,6 +363,122 @@ let prop_bulk_profile =
        Profile.add incremental ~start:3 ~duration:4 ~amount:1;
        Profile.steps bulk = Profile.steps incremental))
 
+(* Operation sequences for the remembered congested run.  [from] values come
+   from a pool of three, so most queries repeat an earlier [from] — as a
+   greedy pass does for all of a job's maps; a [Place] adds the task where
+   the query put it, growing the very run the profile remembered. *)
+type op =
+  | Place of int * int * int  (** from index, duration, amount *)
+  | Query of int * int * int
+  | Add of int * int * int  (** start, duration, amount *)
+  | Remove of int  (** the k-th earlier [Add] or [Place], if still held *)
+
+let pp_op = function
+  | Place (f, d, a) -> Printf.sprintf "Place(from#%d,%d,%d)" f d a
+  | Query (f, d, a) -> Printf.sprintf "Query(from#%d,%d,%d)" f d a
+  | Add (s, d, a) -> Printf.sprintf "Add(%d,%d,%d)" s d a
+  | Remove k -> Printf.sprintf "Remove(%d)" k
+
+type hint_case = {
+  capacity : int;
+  froms : int array;
+  initial : (int * int * int) list;  (** bulk-loaded with [of_tasks] *)
+  bulk : bool;
+  ops : op list;
+}
+
+let gen_hint_case =
+  let open QCheck.Gen in
+  let* capacity = int_range 1 4 in
+  let* froms = array_repeat 3 (int_range 0 20) in
+  let* bulk = bool in
+  let* initial =
+    list_size (int_range 0 8)
+      (triple (int_range 0 30) (int_range 0 10) (int_range 1 capacity))
+  in
+  let amount = int_range 1 capacity and duration = int_range 0 8 in
+  let* ops =
+    list_size (int_range 1 40)
+      (frequency
+         [
+           ( 5,
+             map3 (fun f d a -> Place (f, d, a)) (int_range 0 2) duration amount
+           );
+           ( 2,
+             map3 (fun f d a -> Query (f, d, a)) (int_range 0 2) duration amount
+           );
+           ( 2,
+             map3 (fun s d a -> Add (s, d, a)) (int_range 0 30) duration amount
+           );
+           (2, map (fun k -> Remove k) (int_range 0 40));
+         ])
+  in
+  return { capacity; froms; initial; bulk; ops }
+
+let print_hint_case c =
+  Printf.sprintf "capacity=%d froms=[%s] %s=[%s] ops=[%s]" c.capacity
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.froms)))
+    (if c.bulk then "of_tasks" else "adds")
+    (String.concat ";"
+       (List.map
+          (fun (s, d, a) -> Printf.sprintf "(%d,%d,%d)" s d a)
+          c.initial))
+    (String.concat "; " (List.map pp_op c.ops))
+
+let arb_hint_case =
+  QCheck.make ~print:print_hint_case
+    ~shrink:(fun c yield ->
+      QCheck.Shrink.list ~shrink:QCheck.Shrink.nil c.ops (fun ops ->
+          yield { c with ops }))
+    gen_hint_case
+
+let prop_earliest_fit_hint =
+  QCheck.Test.make ~count:3000
+    ~name:"earliest_fit with remembered run = fresh walk"
+    arb_hint_case (fun c ->
+      let p =
+        if c.bulk then
+          Profile.of_tasks ~capacity:c.capacity (fun emit ->
+              List.iter
+                (fun (start, duration, amount) -> emit ~start ~duration ~amount)
+                c.initial)
+        else begin
+          let p = Profile.create ~capacity:c.capacity in
+          List.iter
+            (fun (start, duration, amount) ->
+              Profile.add p ~start ~duration ~amount)
+            c.initial;
+          p
+        end
+      in
+      let held = ref [] in
+      let agree f d a =
+        let from = c.froms.(f) in
+        let got = Profile.earliest_fit p ~from ~duration:d ~amount:a in
+        (got = ref_earliest_fit p ~from ~duration:d ~amount:a, got)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Query (f, d, a) -> fst (agree f d a)
+          | Place (f, d, a) ->
+              let ok, start = agree f d a in
+              Profile.add p ~start ~duration:d ~amount:a;
+              held := !held @ [ Some (start, d, a) ];
+              ok
+          | Add (start, d, a) ->
+              Profile.add p ~start ~duration:d ~amount:a;
+              held := !held @ [ Some (start, d, a) ];
+              true
+          | Remove k ->
+              (match List.nth_opt !held k with
+              | Some (Some (start, duration, amount)) ->
+                  Profile.remove p ~start ~duration ~amount;
+                  held := List.mapi (fun i h -> if i = k then None else h) !held
+              | Some None | None -> ());
+              true)
+        c.ops)
+
 let test_bulk_profile_rejects_negative () =
   let raises f =
     match f () with _ -> false | exception Invalid_argument _ -> true
@@ -473,6 +630,7 @@ let () =
             prop_seed_matches_fold;
             prop_pass_matches_replay;
             prop_bulk_profile;
+            prop_earliest_fit_hint;
             prop_candidate_feasible;
           ] );
       ( "deterministic",

@@ -287,6 +287,59 @@ let test_cert_proof () =
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)
 
+(* Plans are remembered only for tasks the store holds.  The t = 0 pair
+   contends, so that pass searches and the store takes in jobs 0-2; job 2
+   is an advance reservation still pending at t = 200.  Twenty easy
+   arrivals follow, each pass seed-settled, so none of them syncs and their
+   tasks never enter the store; the pair and job 2 complete meanwhile.  At
+   t = 300 a second contending pair forces a search, whose sync retires
+   every completed task of the store: each must have a remembered start,
+   or the sync fails and the session rebuilds. *)
+let test_remember_store_tasks () =
+  Gen.reset_tasks ();
+  let pair at id =
+    [
+      Gen.mk_job ~id ~arrival:at ~est:at ~deadline:(at + 10) ~maps:[ 10 ]
+        ~reduces:[] ();
+      Gen.mk_job ~id:(id + 1) ~arrival:at ~est:at ~deadline:(at + 12)
+        ~maps:[ 10 ] ~reduces:[] ();
+    ]
+  in
+  let first = pair 0 0 in
+  let reservation =
+    Gen.mk_job ~id:2 ~est:200 ~deadline:400 ~maps:[ 5 ] ~reduces:[ 5 ] ()
+  in
+  let easy =
+    List.init 20 (fun k ->
+        let at = 30 + (10 * k) in
+        Gen.mk_job ~id:(3 + k) ~arrival:at ~est:at ~deadline:(at + 50)
+          ~maps:[ 2 ] ~reduces:[] ())
+  in
+  let last = pair 300 23 in
+  let jobs = first @ (reservation :: easy) @ last in
+  let options = proof_options Cp.Restart.Off in
+  let session = Cp.Session.create ~options () in
+  let dispatch = Hashtbl.create 64 in
+  let settled = ref 0 in
+  List.iter
+    (fun now ->
+      let inst = instance_at ~now ~map_cap:1 ~reduce_cap:1 dispatch jobs in
+      let ssol, sst = Cp.Session.solve session ~options inst in
+      let csol, _ = Cp.Solver.solve ~options inst in
+      Alcotest.(check int)
+        (Printf.sprintf "t=%d: same optimum" now)
+        csol.Solution.late_jobs ssol.Solution.late_jobs;
+      if sst.Cp.Solver.seed_late <= sst.Cp.Solver.lower_bound then
+        incr settled;
+      install dispatch inst ssol)
+    (0 :: List.init 20 (fun k -> 30 + (10 * k)) @ [ 300 ]);
+  Alcotest.(check int) "seed-settled passes" 20 !settled;
+  Alcotest.(check int) "no rebuild" 0 (Cp.Session.stats_rebuilds session);
+  Alcotest.(check int) "appended: both pairs and the reservation" 5
+    (Cp.Session.stats_appended_jobs session);
+  Alcotest.(check int) "retired: the first pair's and the reservation's" 4
+    (Cp.Session.stats_retracted session)
+
 (* An empty invocation (every job already departed) must come back optimal
    with zero late jobs and leave the session healthy for a later arrival. *)
 let test_empty_invocation () =
@@ -427,6 +480,8 @@ let () =
             test_counters_deterministic;
           Alcotest.test_case "certificate carries a proof" `Quick
             test_cert_proof;
+          Alcotest.test_case "plans remembered for store tasks only" `Quick
+            test_remember_store_tasks;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
           Alcotest.test_case "--no-session bit-identity" `Quick
