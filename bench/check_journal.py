@@ -81,7 +81,7 @@ def main(path):
             keys = [k for k, _ in pairs]
             events += 1
 
-            if ev.get("v") not in (1, 2):
+            if ev.get("v") not in (1, 2, 3):
                 err(lineno, f"unsupported version {ev.get('v')!r}")
             if ev.get("seq") != expect_seq:
                 err(lineno, f"seq {ev.get('seq')!r}, expected {expect_seq}")

@@ -8,7 +8,10 @@ Understands the three snapshot formats bench/main.exe emits
 tracked metric.  A regression of more than REGRESSION_PCT — lower
 throughput (nodes/s), or higher per-invocation overhead O — is surfaced
 as a GitHub Actions ::warning:: annotation so it shows up on the PR
-without failing the (non-blocking) CI step.
+without failing the (non-blocking) CI step.  So is a moved objective: a
+late-job count that differs from the baseline's, and, for
+session-compare, a session run whose late-job count differs from the
+fresh cold run's.
 
 Exit code is always 0: the numbers are tracked across PRs, not gated on.
 CI-hardware noise makes a hard gate flap; a human reads the annotation.
@@ -113,6 +116,14 @@ def diff_session(base, fresh):
                 f"session-compare {mode} lateness moved: "
                 f"{base[mode]['n_late']} -> {fresh[mode]['n_late']} late jobs"
             )
+    # the certificate is a valid lower bound, so the session must land on
+    # the cold run's lateness, not only on its own baseline's
+    if fresh["session"]["n_late"] != fresh["cold"]["n_late"]:
+        warn(
+            "session-compare session and cold lateness differ: "
+            f"cold {fresh['cold']['n_late']} vs "
+            f"session {fresh['session']['n_late']} late jobs"
+        )
     report(
         "session-compare O reduction",
         base["o_reduction_pct"],

@@ -593,8 +593,8 @@ let warm_compare ~jobs_n ~out () =
 (* ------------------------------------------------------------------ *)
 (* session comparison mode (--session-compare): the acceptance         *)
 (* workload (synthetic, lambda = 0.05, 40 jobs, seed 42) simulated     *)
-(* twice — per-invocation model rebuild (--no-session) vs the          *)
-(* persistent Cp.Session store — emitted as JSON so BENCH_session.json *)
+(* twice — cold solves (--no-session) vs a Cp.Session carrying its     *)
+(* optimality certificate — emitted as JSON so BENCH_session.json      *)
 (* snapshots can track the per-invocation overhead O saving across PRs *)
 (* ------------------------------------------------------------------ *)
 
@@ -604,13 +604,11 @@ let session_compare ~jobs_n ~out () =
      modest jobs (<= 12 maps, <= 4 reduces) at lambda = 0.05 keeps a
      dozen-plus jobs in flight with deadlines tight enough (d_m = 1.5) that
      most invocations need an exact search, and the raised
-     [exact_task_limit] routes them there (the LNS regime never builds a
-     model, so it cannot show a session effect either way).  This is the
-     regime where the session pays off twice: the model rebuild is amortized
-     into a root-level diff, and the carried optimality certificate lets
-     most searches stop at their first improving solution instead of
-     exhausting the tree to re-prove what the previous invocation already
-     established. *)
+     [exact_task_limit] routes them there.  This is the regime where the
+     carried optimality certificate pays off: both modes build the same
+     model per invocation, but under the certificate's bound most searches
+     stop at their first optimal solution instead of exhausting the tree to
+     re-prove what the previous invocation already established. *)
   let cluster = T.uniform_cluster ~m:4 ~map_capacity:2 ~reduce_capacity:2 in
   let params =
     {
@@ -933,7 +931,7 @@ let () =
   end
   else if Array.exists (( = ) "--session-compare") argv then begin
     (* bench/main.exe --session-compare [JOBS] [--out FILE]:
-       cold-vs-persistent-session manager comparison JSON on the
+       cold-vs-session manager comparison JSON on the
        synthetic lambda=0.05 workload *)
     let n = Array.length argv in
     let jobs_n =

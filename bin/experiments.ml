@@ -212,9 +212,9 @@ let no_warm_start =
 let no_session =
   Arg.(value & flag
        & info [ "no-session" ]
-           ~doc:"Disable the persistent solver session: rebuild the store \
-                 and model on every manager invocation (the historical \
-                 cold path).")
+           ~doc:"Disable the solver session: no optimality certificate is \
+                 carried between manager invocations (the historical cold \
+                 path).")
 
 let kernel =
   let kernel_conv =

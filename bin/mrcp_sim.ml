@@ -292,9 +292,9 @@ let term =
                      invocation, as in the paper.")
     $ Arg.(value & flag
            & info [ "no-session" ]
-               ~doc:"Disable the persistent solver session: rebuild the \
-                     store and model on every invocation (the historical \
-                     cold path, bit-identical trajectories).")
+               ~doc:"Disable the solver session: no optimality certificate \
+                     is carried between invocations (the historical cold \
+                     path, bit-identical trajectories).")
     $ Arg.(value & opt kernel_conv Cp.Propagators.Both
            & info [ "kernel" ]
                ~doc:"Propagation kernel: timetable (incremental time table), \

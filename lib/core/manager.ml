@@ -60,9 +60,9 @@ type t = {
   mutable scheduled_jobs : int;
   mutable last_stats : Cp.Solver.stats option;
   mutable last_portfolio : Cp.Portfolio.stats option;
-  (* the persistent solver store, created lazily at the first solve; None
-     when [config.session] is off or [config.domains > 1] (the portfolio's
-     workers each need their own store) *)
+  (* the solver session carrying the optimality certificate, created lazily
+     at the first solve; None when [config.session] is off or
+     [config.domains > 1] (the portfolio solves cold) *)
   mutable session : Cp.Session.t option;
   (* manager-level metrics (invocation counts/latency), allocated only when
      [config.solver.instrument] is set *)
@@ -73,8 +73,8 @@ type t = {
   mutable last_late : int;
   (* fault-reaction state: resources currently down, whether a fault
      notification forces the next invocation to re-plan even with an empty
-     queue, and how many times a fault invalidated the persistent session
-     (and with it the carried optimality certificate) *)
+     queue, and how many times a fault invalidated the session (and with
+     it the carried optimality certificate) *)
   down : (int, unit) Hashtbl.t;
   mutable dirty : bool;
   mutable fault_resets : int;
@@ -360,17 +360,10 @@ let invoke t ~now =
         Cp.Solver.seed = t.config.solver.Cp.Solver.seed + t.solves;
         warm_start = warm }
     in
-    (* session counters before the solve, so the journal can report this
-       invocation's store-diff work as deltas *)
-    let sess_before =
-      match (t.config.journal, t.session) with
-      | Some _, Some s ->
-          ( Cp.Session.stats_appended_jobs s,
-            Cp.Session.stats_retracted s,
-            Cp.Session.stats_rebuilds s,
-            Cp.Session.stats_reused_nogoods s,
-            Cp.Session.stats_cert_proofs s )
-      | _ -> (0, 0, 0, 0, 0)
+    (* the session's certificate proofs before the solve, so the journal
+       can report this invocation's as a delta *)
+    let cert_proofs_before =
+      match t.session with Some s -> Cp.Session.stats_cert_proofs s | None -> 0
     in
     let solution, stats =
       if t.config.domains > 1 then begin
@@ -385,7 +378,7 @@ let invoke t ~now =
           match t.session with
           | Some s -> s
           | None ->
-              let s = Cp.Session.create ~options () in
+              let s = Cp.Session.create () in
               t.session <- Some s;
               s
         in
@@ -528,7 +521,6 @@ let invoke t ~now =
             in
             Hashtbl.replace t.job_overhead id (cur +. elapsed))
           t.active;
-        let sa, sr, sb, sn, sc = sess_before in
         let session_fields =
           match t.session with
           | None -> []
@@ -537,16 +529,10 @@ let invoke t ~now =
                 ( "session",
                   Obs.Json.Obj
                     [
-                      ( "appended_jobs",
-                        Obs.Json.Int (Cp.Session.stats_appended_jobs s - sa) );
-                      ( "retracted",
-                        Obs.Json.Int (Cp.Session.stats_retracted s - sr) );
-                      ( "rebuilds",
-                        Obs.Json.Int (Cp.Session.stats_rebuilds s - sb) );
-                      ( "reused_nogoods",
-                        Obs.Json.Int (Cp.Session.stats_reused_nogoods s - sn) );
                       ( "cert_proofs",
-                        Obs.Json.Int (Cp.Session.stats_cert_proofs s - sc) );
+                        Obs.Json.Int
+                          (Cp.Session.stats_cert_proofs s - cert_proofs_before)
+                      );
                     ] );
               ]
         in
@@ -672,11 +658,10 @@ let find_task_state t task_id =
     t.active;
   !hit
 
-(* Any fault invalidates the persistent session and its carried optimality
-   certificate: a rejoin grows the capacity (a carried bound could overclaim),
-   a lost or failed task falsifies the session's root-fixed starts, and a
-   straggler changes a duration baked into the stored model.  The next solve
-   rebuilds a fresh session from scratch. *)
+(* Any fault invalidates the session's carried optimality certificate: a
+   rejoin grows the capacity (a carried bound could overclaim), and a lost or
+   failed task or a straggler falsifies the completions the certificate
+   recorded for its jobs.  The next solve starts a fresh session. *)
 let drop_session t =
   t.session <- None;
   t.fault_resets <- t.fault_resets + 1;

@@ -50,13 +50,13 @@ type config = {
           ([--no-warm-start] in the CLIs) to reproduce the paper's cold
           re-solve on every invocation. *)
   session : bool;
-      (** solve through one persistent {!Cp.Session} — the manager's solver
-          store is created once and diffed between invocations (arrivals
-          appended, completed tasks retracted, nogoods carried) instead of
-          rebuilt from scratch.  Only effective with [domains = 1]; the
-          portfolio's workers each build their own store.  Default [true];
-          disable ([--no-session] in the CLIs) to reproduce the historical
-          cold per-invocation {!Cp.Solver.solve} bit-for-bit. *)
+      (** solve through one {!Cp.Session}, which runs the cold pipeline on
+          every invocation but carries an optimality certificate between
+          them: a later pass whose incumbent meets the certificate's lower
+          bound stops there instead of re-proving optimality by search.
+          Only effective with [domains = 1]; the portfolio solves cold.
+          Default [true]; disable ([--no-session] in the CLIs) to reproduce
+          the cold per-invocation {!Cp.Solver.solve} bit-for-bit. *)
   journal : Obs.Journal.t option;
       (** [Some j]: append one structured {!Obs.Journal} event per admission
           decision ("submit": admit/defer/release with reason), per
@@ -70,7 +70,7 @@ type config = {
 
 val default_config : config
 (** EDF ordering, 1 domain (sequential), deferral window 300 s, validation
-    off, warm start on, persistent session on, journaling off. *)
+    off, warm start on, session on, journaling off. *)
 
 type t
 
@@ -91,7 +91,7 @@ val resource_lost : t -> now:int -> resource_id:int -> lost:int list -> unit
     died with it: their dispatches are forgotten (the work is lost; they
     re-enter the next instance as pending with est bumped to now), the
     resource is excluded from capacity and matchmaking until
-    {!resource_rejoined}, the persistent session and its carried optimality
+    {!resource_rejoined}, the session and its carried optimality
     certificate are invalidated, and the next {!invoke} re-solves even with
     an empty queue. *)
 
@@ -112,8 +112,8 @@ val task_started : t -> now:int -> task_id:int -> exec_ms:int -> unit
     [exec_ms] equals the recorded execution time. *)
 
 val fault_resets : t -> int
-(** Times a fault notification invalidated the persistent session (and the
-    carried optimality certificate).  0 in fault-free runs. *)
+(** Times a fault notification invalidated the session (and the carried
+    optimality certificate).  0 in fault-free runs. *)
 
 val resources_down : t -> int
 (** Resources currently excluded after {!resource_lost}. *)

@@ -46,31 +46,15 @@ type t = {
   max_lits : int;
   mutable clauses : int array array;  (* clause -> packed literals *)
   mutable bounds : int array;  (* incumbent bound when the clause was derived *)
-  mutable marks : int array;
-  (* caller's departed-late counter when the clause was derived; {!refresh}
-     uses [bounds.(c) - (departed_late - marks.(c))] as the clause's bound
-     on the *current* objective (each job that departed late since the
-     derivation moved one unit of the old objective into a realized
-     constant) *)
-  mutable current_mark : int;
   mutable w1 : int array;  (* watched positions; -1 = inert *)
   mutable w2 : int array;
   mutable n : int;
   mutable committed : int;  (* clauses below this are wired into the store *)
   mutable recorded : int;
   mutable dropped : int;
-  mutable expired : int;
   mutable unit_props : int;
   mutable conflicts : int;
   mutable context : string option;
-  (* Clause pruning is only sound relative to the objective bound the
-     clauses were committed under.  A {!Session} mutates its store at the
-     root between searches (est bumps, task fixes) with no bound armed;
-     propagating clauses there would assert objective-relative facts as
-     permanent root prunes.  [armed = false] makes {!run} a no-op (the
-     seen snapshots go stale, which is fine: {!refresh} resets them before
-     the next commit).  Cold solves never toggle this. *)
-  mutable armed : bool;
   (* attachment *)
   mutable store : Store.t option;
   mutable pid : Store.propagator_id option;
@@ -96,19 +80,15 @@ let create ?(max_clauses = 20_000) ?(max_lits = 64) () =
     max_lits;
     clauses = Array.make 64 [||];
     bounds = Array.make 64 0;
-    marks = Array.make 64 0;
-    current_mark = 0;
     w1 = Array.make 64 (-1);
     w2 = Array.make 64 (-1);
     n = 0;
     committed = 0;
     recorded = 0;
     dropped = 0;
-    expired = 0;
     unit_props = 0;
     conflicts = 0;
     context = None;
-    armed = true;
     store = None;
     pid = None;
     vars = [||];
@@ -123,9 +103,6 @@ let create ?(max_clauses = 20_000) ?(max_lits = 64) () =
 let size t = t.n
 let stats_recorded t = t.recorded
 let stats_dropped t = t.dropped
-let stats_expired t = t.expired
-let set_mark t m = t.current_mark <- m
-let set_armed t b = t.armed <- b
 let stats_unit_props t = t.unit_props
 let stats_conflicts t = t.conflicts
 
@@ -145,7 +122,6 @@ let grow_clause_arrays t =
     in
     t.clauses <- extend t.clauses [||];
     t.bounds <- extend t.bounds 0;
-    t.marks <- extend t.marks 0;
     t.w1 <- extend t.w1 (-1);
     t.w2 <- extend t.w2 (-1)
   end
@@ -159,7 +135,6 @@ let record t ~lits ~bound =
     grow_clause_arrays t;
     t.clauses.(t.n) <- lits;
     t.bounds.(t.n) <- bound;
-    t.marks.(t.n) <- t.current_mark;
     t.w1.(t.n) <- -1;
     t.w2.(t.n) <- -1;
     t.n <- t.n + 1;
@@ -307,10 +282,8 @@ let process t s vref =
     raise e
 
 let run t s =
-  if not t.armed then ()
-  else
-    let nv = Array.length t.vars in
-    for vref = 0 to nv - 1 do
+  let nv = Array.length t.vars in
+  for vref = 0 to nv - 1 do
     if t.occ_len.(vref) > 0 then begin
       let v = t.vars.(vref) in
       let mn = Store.min_of s v
@@ -377,63 +350,6 @@ let commit t =
         t.committed <- t.committed + 1;
         wire t s c
       done
-
-(* --- cross-invocation reuse (persistent sessions) ---------------------- *)
-
-let grow_vars t ~vars =
-  let old = Array.length t.vars in
-  let nv = Array.length vars in
-  if nv < old then invalid_arg "Nogood.grow_vars: vars may only grow";
-  if nv > max_vref then invalid_arg "Nogood.grow_vars: too many variables";
-  t.vars <- vars;
-  if nv > old then begin
-    let extend a fill =
-      let a' = Array.make nv fill in
-      Array.blit a 0 a' 0 old;
-      a'
-    in
-    t.occ <- extend t.occ [||];
-    t.occ_len <- extend t.occ_len 0;
-    t.seen_min <- extend t.seen_min max_int;
-    t.seen_max <- extend t.seen_max min_int;
-    t.seen_undo <- extend t.seen_undo (-1);
-    let b = Bytes.make (2 * nv) '\000' in
-    Bytes.blit t.store_watched 0 b 0 (2 * old);
-    t.store_watched <- b
-  end
-
-let refresh t ~departed_late ~initial_bound =
-  let w = ref 0 in
-  for c = 0 to t.n - 1 do
-    (* The clause proved "lits ⟹ old objective ≥ bounds.(c)".  Every job
-       that departed late since the derivation turned one unit of that old
-       objective into a realized constant outside the current objective, so
-       the clause now only supports "lits ⟹ current objective ≥ b".  Using
-       it unconditionally in a search whose bound starts at [initial_bound]
-       is sound exactly when b ≥ initial_bound (bounds only tighten from
-       there).  [departed_late - marks.(c)] over-counts k for clauses that
-       outlived jobs which both arrived and departed after their derivation,
-       which only expires clauses early — conservative, never unsound. *)
-    let b = t.bounds.(c) - (departed_late - t.marks.(c)) in
-    if b >= initial_bound then begin
-      t.clauses.(!w) <- t.clauses.(c);
-      t.bounds.(!w) <- b;
-      t.marks.(!w) <- departed_late;
-      t.w1.(!w) <- -1;
-      t.w2.(!w) <- -1;
-      incr w
-    end
-    else t.expired <- t.expired + 1
-  done;
-  t.n <- !w;
-  t.committed <- 0;
-  t.current_mark <- departed_late;
-  (* every surviving clause is rewired by the next {!commit}: drop all
-     occurrence entries and force a full re-examination of every vref *)
-  Array.fill t.occ_len 0 (Array.length t.occ_len) 0;
-  Array.fill t.seen_min 0 (Array.length t.seen_min) max_int;
-  Array.fill t.seen_max 0 (Array.length t.seen_max) min_int;
-  Array.fill t.seen_undo 0 (Array.length t.seen_undo) (-1)
 
 let attach t store ~vars =
   t.store <- Some store;

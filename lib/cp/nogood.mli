@@ -69,12 +69,6 @@ val record : t -> lits:int array -> bound:int -> unit
     The clause is integrated into the attached store at the next
     {!commit}. *)
 
-val set_mark : t -> int -> unit
-(** Set the derivation mark stored with every subsequent {!record}: the
-    caller's departed-late counter (jobs that left the system with their
-    lateness realized) at derivation time.  {!refresh} consumes it.
-    Irrelevant (and zero) outside {!Session} use. *)
-
 val set_context : t -> string -> unit
 (** Nogoods are only valid against the model they were derived from.
     [set_context t fingerprint] clears the database unless [fingerprint]
@@ -91,34 +85,6 @@ val attach : t -> Store.t -> vars:Store.var array -> unit
     first, then starts — see the literal convention above).  The store must
     be at the root level.  May raise [Store.Fail] if a carried clause is
     already violated at the root. *)
-
-val grow_vars : t -> vars:Store.var array -> unit
-(** Extend the attached variable mapping after new store variables were
-    appended (a {!Session} sync).  [vars] must be a prefix-preserving
-    extension of the mapping given to {!attach}: existing references keep
-    naming the same store variables — the property that lets recorded
-    clauses survive across invocations.  Does not register watches; new
-    variables get theirs lazily as clauses mention them. *)
-
-val set_armed : t -> bool -> unit
-(** Gate the clause propagator.  While disarmed its runs are no-ops — a
-    {!Session} disarms the database around the root-level store mutations it
-    performs between searches (est bumps, retractions), where clause
-    pruning, being relative to an objective bound that is not armed there,
-    would wrongly become permanent.  Re-arm (after {!refresh}) before
-    {!commit}.  Databases start armed; cold solves never toggle this. *)
-
-val refresh : t -> departed_late:int -> initial_bound:int -> unit
-(** Cross-invocation revalidation, called between {!Session} solves with
-    the store inside the fresh guard level.  Each clause's bound on the
-    current objective is [bound - k], where [k] counts the jobs that
-    departed late since its derivation ([departed_late] minus the clause's
-    {!set_mark} value); clauses whose adjusted bound falls below
-    [initial_bound] — the strict bound the next search starts from — would
-    prune solutions the new search still wants, so they are dropped (counted
-    in {!stats_expired}).  Survivors have their bounds and marks rebased,
-    their watches cleared, and are rewired into the store by the next
-    {!commit} (which may raise [Store.Fail]: no improving solution exists). *)
 
 val commit : t -> unit
 (** Integrate clauses recorded since the last commit into the attached
@@ -137,9 +103,6 @@ val stats_recorded : t -> int
 
 val stats_dropped : t -> int
 (** Recordings discarded (database full, or clause over [max_lits]). *)
-
-val stats_expired : t -> int
-(** Clauses dropped by {!refresh} because departures invalidated them. *)
 
 val stats_unit_props : t -> int
 (** Unit propagations performed (complement literals asserted). *)

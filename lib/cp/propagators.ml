@@ -758,337 +758,3 @@ let cumulative_gated ?(energetic = false) s ~tasks ~capacity =
       Store.watch_fix s t.g_member pid)
     tasks;
   Store.schedule s pid
-
-(* --- dynamic registries (persistent sessions) ----------------------------- *)
-
-(* [cumulative]'s task set is fixed at posting time; a {!Session} needs one
-   capacity propagator per pool whose registry grows (job arrivals) and
-   shrinks (completed tasks retracted) across solver invocations.  The
-   kernel below is the [cumulative_naive] algorithm — identical segment
-   profile, identical per-task overload pruning — run over a mutable
-   registry, with the allocation-free machinery of [cumulative]: stable
-   per-task event slots ([max_int] sentinel when a task has no compulsory
-   part), a persistent insertion-sorted event permutation (reset to the
-   identity whenever the registry changes shape), and preallocated segment
-   scratch. *)
-type dyn_pool = {
-  dp_capacity : int;
-  mutable dp_pid : Store.propagator_id option;
-  mutable dp_start : Store.var array;
-  mutable dp_dur : int array;
-  mutable dp_dem : int array;
-  mutable dp_n : int;
-  (* scratch, grown with the registry *)
-  mutable dp_comp_lo : int array;
-  mutable dp_comp_hi : int array;
-  mutable dp_ev_time : int array;  (* slots 2i / 2i+1 belong to task i *)
-  mutable dp_ev_dem : int array;
-  mutable dp_perm : int array;
-  mutable dp_seg_a : int array;
-  mutable dp_seg_b : int array;
-  mutable dp_seg_u : int array;
-  mutable dp_perm_dirty : bool;
-  (* start bounds each task's event slots were last computed from, plus a
-     fixpoint marker — the same incremental skip the static [cumulative]
-     does, which matters even more here: a session store keeps one pool
-     alive across thousands of propagations *)
-  mutable dp_cache_est : int array;
-  mutable dp_cache_lst : int array;
-  mutable dp_valid : bool;
-}
-
-let dyn_pool_pid p = Option.get p.dp_pid
-
-let dyn_run p s =
-  let n = p.dp_n in
-  if n > 0 then begin
-    let ne = 2 * n in
-    (* 1. refresh event slots of tasks whose bounds moved since last run *)
-    let moved = ref false in
-    for i = 0 to n - 1 do
-      let dur = p.dp_dur.(i) and dem = p.dp_dem.(i) in
-      if dur > 0 && dem > 0 then begin
-        let est = Store.min_of s p.dp_start.(i)
-        and lst = Store.max_of s p.dp_start.(i) in
-        if est <> p.dp_cache_est.(i) || lst <> p.dp_cache_lst.(i) then begin
-          moved := true;
-          p.dp_cache_est.(i) <- est;
-          p.dp_cache_lst.(i) <- lst;
-          let lo = lst and hi = est + dur in
-          if lo < hi then begin
-            p.dp_comp_lo.(i) <- lo;
-            p.dp_comp_hi.(i) <- hi;
-            p.dp_ev_time.(2 * i) <- lo;
-            p.dp_ev_dem.(2 * i) <- dem;
-            p.dp_ev_time.((2 * i) + 1) <- hi;
-            p.dp_ev_dem.((2 * i) + 1) <- -dem
-          end
-          else begin
-            p.dp_comp_lo.(i) <- max_int;
-            p.dp_comp_hi.(i) <- max_int;
-            p.dp_ev_time.(2 * i) <- max_int;
-            p.dp_ev_dem.(2 * i) <- 0;
-            p.dp_ev_time.((2 * i) + 1) <- max_int;
-            p.dp_ev_dem.((2 * i) + 1) <- 0
-          end
-        end
-      end
-      else begin
-        p.dp_comp_lo.(i) <- max_int;
-        p.dp_comp_hi.(i) <- max_int;
-        p.dp_ev_time.(2 * i) <- max_int;
-        p.dp_ev_dem.(2 * i) <- 0;
-        p.dp_ev_time.((2 * i) + 1) <- max_int;
-        p.dp_ev_dem.((2 * i) + 1) <- 0
-      end
-    done;
-    if (not !moved) && p.dp_valid then Store.note_scratch_reuse s
-    else begin
-      p.dp_valid <- false;
-      if p.dp_perm_dirty then begin
-        for k = 0 to ne - 1 do
-          p.dp_perm.(k) <- k
-        done;
-        p.dp_perm_dirty <- false
-      end;
-      (* insertion sort: nearly sorted between consecutive runs *)
-      for k = 1 to ne - 1 do
-        let e = p.dp_perm.(k) in
-        let te = p.dp_ev_time.(e) in
-        let j = ref (k - 1) in
-        while !j >= 0 && p.dp_ev_time.(p.dp_perm.(!j)) > te do
-          p.dp_perm.(!j + 1) <- p.dp_perm.(!j);
-          decr j
-        done;
-        p.dp_perm.(!j + 1) <- e
-      done;
-      (* 2. sweep into a step profile (sentinel events terminate the scan) *)
-      let i = ref 0 and usage = ref 0 and nseg = ref 0 in
-      while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) < max_int do
-        let time = p.dp_ev_time.(p.dp_perm.(!i)) in
-        while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) = time do
-          usage := !usage + p.dp_ev_dem.(p.dp_perm.(!i));
-          incr i
-        done;
-        if !usage > p.dp_capacity then
-          raise (Store.Fail "cumulative overload");
-        let next =
-          if !i < ne then p.dp_ev_time.(p.dp_perm.(!i)) else max_int
-        in
-        if !usage > 0 && next > time then begin
-          p.dp_seg_a.(!nseg) <- time;
-          p.dp_seg_b.(!nseg) <- next;
-          p.dp_seg_u.(!nseg) <- !usage;
-          incr nseg
-        end
-      done;
-      let nseg = !nseg in
-      (* 3. prune exactly as [cumulative_naive]; segments are sorted and
-         disjoint, so binary-search the first candidate and stop past the
-         window (same reasoning as the static kernel) *)
-      let changed = ref false in
-      if nseg > 0 then
-        for t = 0 to n - 1 do
-          let dur = p.dp_dur.(t) and dem = p.dp_dem.(t) in
-          if dur > 0 && dem > 0 && not (Store.is_fixed s p.dp_start.(t))
-          then begin
-            let own_lo = p.dp_comp_lo.(t) and own_hi = p.dp_comp_hi.(t) in
-            let overloaded k =
-              let u = p.dp_seg_u.(k) in
-              let u =
-                if own_lo < p.dp_seg_b.(k) && own_hi > p.dp_seg_a.(k) then
-                  u - dem
-                else u
-              in
-              u + dem > p.dp_capacity
-            in
-            let est = ref (Store.min_of s p.dp_start.(t)) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if p.dp_seg_b.(mid) > !est then hi := mid else lo := mid + 1
-            done;
-            let k = ref !lo in
-            while !k < nseg && p.dp_seg_a.(!k) < !est + dur do
-              if p.dp_seg_b.(!k) > !est && overloaded !k then
-                est := p.dp_seg_b.(!k);
-              incr k
-            done;
-            if !est > Store.min_of s p.dp_start.(t) then changed := true;
-            Store.set_min s p.dp_start.(t) !est;
-            let lst = ref (Store.max_of s p.dp_start.(t)) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if p.dp_seg_a.(mid) < !lst + dur then lo := mid + 1
-              else hi := mid
-            done;
-            let k = ref (!lo - 1) in
-            let scanning = ref true in
-            while !scanning && !k >= 0 do
-              if p.dp_seg_b.(!k) > !lst then begin
-                if p.dp_seg_a.(!k) < !lst + dur && overloaded !k then
-                  lst := p.dp_seg_a.(!k) - dur;
-                decr k
-              end
-              else scanning := false
-            done;
-            if !lst < Store.max_of s p.dp_start.(t) then changed := true;
-            Store.set_max s p.dp_start.(t) !lst
-          end
-        done;
-      if not !changed then p.dp_valid <- true
-    end
-  end
-
-let cumulative_dyn s ~capacity =
-  if capacity <= 0 then invalid_arg "cumulative_dyn: capacity must be positive";
-  let cap0 = 16 in
-  let p =
-    {
-      dp_capacity = capacity;
-      dp_pid = None;
-      dp_start = Array.make cap0 0;
-      dp_dur = Array.make cap0 0;
-      dp_dem = Array.make cap0 0;
-      dp_n = 0;
-      dp_comp_lo = Array.make cap0 max_int;
-      dp_comp_hi = Array.make cap0 max_int;
-      dp_ev_time = Array.make (2 * cap0) max_int;
-      dp_ev_dem = Array.make (2 * cap0) 0;
-      dp_perm = Array.init (2 * cap0) Fun.id;
-      dp_seg_a = Array.make (2 * cap0) 0;
-      dp_seg_b = Array.make (2 * cap0) 0;
-      dp_seg_u = Array.make (2 * cap0) 0;
-      dp_perm_dirty = true;
-      dp_cache_est = Array.make cap0 min_int;
-      dp_cache_lst = Array.make cap0 min_int;
-      dp_valid = false;
-    }
-  in
-  p.dp_pid <-
-    Some (Store.register s ~priority:2 ~name:"cumulative" (fun s -> dyn_run p s));
-  p
-
-let dyn_grow p =
-  let cap = Array.length p.dp_start in
-  if p.dp_n = cap then begin
-    let cap' = 2 * cap in
-    let ext a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    let ext2 a fill =
-      let a' = Array.make (2 * cap') fill in
-      Array.blit a 0 a' 0 (2 * cap);
-      a'
-    in
-    p.dp_start <- ext p.dp_start 0;
-    p.dp_dur <- ext p.dp_dur 0;
-    p.dp_dem <- ext p.dp_dem 0;
-    p.dp_comp_lo <- ext p.dp_comp_lo max_int;
-    p.dp_comp_hi <- ext p.dp_comp_hi max_int;
-    p.dp_cache_est <- ext p.dp_cache_est min_int;
-    p.dp_cache_lst <- ext p.dp_cache_lst min_int;
-    p.dp_ev_time <- ext2 p.dp_ev_time max_int;
-    p.dp_ev_dem <- ext2 p.dp_ev_dem 0;
-    p.dp_perm <- Array.init (2 * cap') Fun.id;
-    p.dp_seg_a <- ext2 p.dp_seg_a 0;
-    p.dp_seg_b <- ext2 p.dp_seg_b 0;
-    p.dp_seg_u <- ext2 p.dp_seg_u 0
-  end
-
-let dyn_add p s term =
-  if term.duration < 0 || term.demand < 0 then
-    invalid_arg "dyn_add: negative duration/demand";
-  if term.demand > p.dp_capacity then
-    raise (Store.Fail "task demand > capacity");
-  dyn_grow p;
-  let i = p.dp_n in
-  p.dp_start.(i) <- term.start;
-  p.dp_dur.(i) <- term.duration;
-  p.dp_dem.(i) <- term.demand;
-  p.dp_cache_est.(i) <- min_int;
-  p.dp_cache_lst.(i) <- min_int;
-  p.dp_n <- i + 1;
-  p.dp_perm_dirty <- true;
-  p.dp_valid <- false;
-  let pid = dyn_pool_pid p in
-  Store.watch s term.start pid;
-  Store.schedule s pid
-
-let dyn_retire p s start =
-  let i = ref (-1) in
-  for k = 0 to p.dp_n - 1 do
-    if p.dp_start.(k) = start then i := k
-  done;
-  if !i < 0 then invalid_arg "dyn_retire: variable not in registry";
-  let last = p.dp_n - 1 in
-  p.dp_start.(!i) <- p.dp_start.(last);
-  p.dp_dur.(!i) <- p.dp_dur.(last);
-  p.dp_dem.(!i) <- p.dp_dem.(last);
-  (* the swapped-in task inherits a slot whose events belong to the retired
-     one: poison its cache so the next run rewrites them *)
-  p.dp_cache_est.(!i) <- min_int;
-  p.dp_cache_lst.(!i) <- min_int;
-  p.dp_n <- last;
-  p.dp_perm_dirty <- true;
-  p.dp_valid <- false;
-  let pid = dyn_pool_pid p in
-  Store.unwatch s start pid;
-  Store.schedule s pid
-
-(* Growable Σ N_j < bound — [sum_lt_bound] over a mutable variable set. *)
-type dyn_sum = {
-  ds_bound : int ref;
-  mutable ds_pid : Store.propagator_id option;
-  mutable ds_vars : Store.var array;
-  mutable ds_n : int;
-}
-
-let dyn_sum_pid d = Option.get d.ds_pid
-
-let sum_lt_bound_dyn s ~bound =
-  let d = { ds_bound = bound; ds_pid = None; ds_vars = Array.make 16 0; ds_n = 0 } in
-  d.ds_pid <-
-    Some
-      (Store.register s ~priority:0 ~name:"sum_lt_bound" ~idempotent:true
-         (fun s ->
-           let sum_min = ref 0 in
-           for k = 0 to d.ds_n - 1 do
-             sum_min := !sum_min + Store.min_of s d.ds_vars.(k)
-           done;
-           if !sum_min >= !(d.ds_bound) then
-             raise (Store.Fail "objective bound");
-           if !sum_min = !(d.ds_bound) - 1 then
-             for k = 0 to d.ds_n - 1 do
-               let v = d.ds_vars.(k) in
-               if Store.min_of s v = 0 then Store.set_max s v 0
-             done));
-  d
-
-let dyn_sum_add d s v =
-  let cap = Array.length d.ds_vars in
-  if d.ds_n = cap then begin
-    let a = Array.make (2 * cap) 0 in
-    Array.blit d.ds_vars 0 a 0 cap;
-    d.ds_vars <- a
-  end;
-  d.ds_vars.(d.ds_n) <- v;
-  d.ds_n <- d.ds_n + 1;
-  let pid = dyn_sum_pid d in
-  Store.watch_min s v pid;
-  Store.schedule s pid
-
-let dyn_sum_remove d s v =
-  let i = ref (-1) in
-  for k = 0 to d.ds_n - 1 do
-    if d.ds_vars.(k) = v then i := k
-  done;
-  if !i < 0 then invalid_arg "dyn_sum_remove: variable not in sum";
-  d.ds_vars.(!i) <- d.ds_vars.(d.ds_n - 1);
-  d.ds_n <- d.ds_n - 1;
-  let pid = dyn_sum_pid d in
-  Store.unwatch s v pid;
-  Store.schedule s pid

@@ -140,48 +140,3 @@ val cumulative_gated :
     [capacity × window]; the check detects some infeasible partial
     assignments the time table cannot, and is skipped beyond a small member
     count to bound its O(m²)-windows cost. *)
-
-(** {1 Dynamic registries}
-
-    {!Session} keeps one store alive across solver invocations; the
-    propagators below are the growable/shrinkable counterparts of
-    {!cumulative} and {!sum_lt_bound} it posts once at store creation.
-    Their task/variable registries are mutated at the root between searches
-    — never during one. *)
-
-type dyn_pool
-(** A capacity propagator over a mutable task registry: the
-    {!cumulative_naive} profile and pruning (identical fixpoint), with
-    {!cumulative}'s allocation-free event machinery. *)
-
-val cumulative_dyn : Store.t -> capacity:int -> dyn_pool
-(** Register the propagator with an empty registry (priority 2). *)
-
-val dyn_add : dyn_pool -> Store.t -> term -> unit
-(** Append a task: watch its start and reschedule the pool.  Frozen tasks
-    enter as fixed variables (their compulsory part is their whole
-    execution window).  @raise Store.Fail when [demand > capacity]. *)
-
-val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
-(** Remove the task whose start variable is the given one: unhooks the
-    pool from the variable's watch lists ({!Store.unwatch}) and reschedules.
-    The caller fixes the variable at its realized start first, so removal
-    never loosens the profile seen by the remaining tasks.
-    @raise Invalid_argument when the variable is not in the registry. *)
-
-val dyn_pool_pid : dyn_pool -> Store.propagator_id
-
-type dyn_sum
-(** Growable Σ N_j < bound over a mutable variable set. *)
-
-val sum_lt_bound_dyn : Store.t -> bound:int ref -> dyn_sum
-(** Register with an empty variable set.  With [!bound = max_int] the
-    propagator is inert — the session disarms the cut this way between
-    searches. *)
-
-val dyn_sum_add : dyn_sum -> Store.t -> Store.var -> unit
-val dyn_sum_remove : dyn_sum -> Store.t -> Store.var -> unit
-
-val dyn_sum_pid : dyn_sum -> Store.propagator_id
-(** The cut's propagator token — {!Session} passes it as the search's
-    [bound_pid] and reschedules it after arming the bound. *)

@@ -73,13 +73,6 @@ type 'a state = {
      from the first entry not yet fixed on the current path instead of
      rescanning all jobs at every node *)
   late_order : int array;
-  (* nogood variable references: [late_vref.(j)] / [start_vref.(i)] name
-     lates.(j) / starts.(i) in recorded literals.  The default is the
-     historical dense convention (j, and n_lates + i); a {!Session} search
-     passes store variable ids instead, which stay stable across
-     invocations so carried clauses keep meaning the same variables. *)
-  late_vref : int array;
-  start_vref : int array;
   (* current path's decisions as bound literals, two ints per entry:
      [(vref lsl 2) lor (dir lsl 1) lor pos; const] with dir 1 = ">=" and
      pos 1 = a positive (left) decision, 0 = a refutation point.  The
@@ -306,7 +299,7 @@ and start_phase st postponed late_from =
            v >= g when g sits on the max) goes on the decision trail; the
            right branch asserts its true complement. *)
         let max_ = Store.max_of s v in
-        let vref = st.start_vref.(i) in
+        let vref = Array.length st.problem.lates + i in
         if g < max_ then
           branch_start st postponed late_from i ~vref ~ge:false ~const:g
             ~left:(fun () -> Store.set_max s v g)
@@ -325,7 +318,7 @@ and branch_late st postponed late_from j =
   let late = fst st.problem.lates.(j) in
   (* left literal N_j <= 0; the right branch asserts its true complement *)
   let attempt positive f =
-    if st.restart_on then dpush st ~vref:st.late_vref.(j) ~ge:false ~positive 0;
+    if st.restart_on then dpush st ~vref:j ~ge:false ~positive 0;
     Store.push_level s;
     (try
        f ();
@@ -389,7 +382,7 @@ and branch_asym st postponed late_from i est =
      postponement asserts nothing (a vacuous negative), but it is still a
      refutation point — the fix subtree was exhausted first — so it leaves
      a pos=0 trail entry for nogood extraction. *)
-  let vref = st.start_vref.(i) in
+  let vref = Array.length st.problem.lates + i in
   let attempt () =
     if st.restart_on then dpush st ~vref ~ge:false ~positive:true est;
     Store.push_level s;
@@ -445,7 +438,7 @@ let extract_nogoods st db =
   done
 
 let run_problem ?(tie_break = Slack_first) ?(restart = Restart.Off) ?nogoods
-    ?guide ?late_vrefs ?start_vrefs problem limits =
+    ?guide problem limits =
   let tracing = Obs.Trace.enabled () in
   let t0 = if tracing then Obs.Trace.now_us () else 0. in
   let restart_on = restart <> Restart.Off in
@@ -470,14 +463,6 @@ let run_problem ?(tie_break = Slack_first) ?(restart = Restart.Off) ?nogoods
         | Some g -> g
         | None -> Array.make n_starts min_int);
       late_order;
-      late_vref =
-        (match late_vrefs with
-        | Some a -> a
-        | None -> Array.init n_lates (fun j -> j));
-      start_vref =
-        (match start_vrefs with
-        | Some a -> a
-        | None -> Array.init n_starts (fun i -> n_lates + i));
       dtrail = Array.make (4 * (n_lates + n_starts + 1)) 0;
       dtrail_len = 0;
       best = None;
@@ -494,11 +479,6 @@ let run_problem ?(tie_break = Slack_first) ?(restart = Restart.Off) ?nogoods
     }
   in
   let s = problem.store in
-  (* The search never unwinds below its entry level: a {!Session} pushes a
-     guard level (objective cut, rewired nogoods) before calling in, and
-     that state must survive restarts.  At the root ([base = 0]) this is
-     exactly the historical backtrack-to-root behaviour. *)
-  let base = Store.level s in
   let postponed = Array.make n_starts min_int in
   let rec slices k =
     st.slice_hit <- false;
@@ -523,7 +503,7 @@ let run_problem ?(tie_break = Slack_first) ?(restart = Restart.Off) ?nogoods
       (match st.nogoods with
       | Some db -> extract_nogoods st db
       | None -> ());
-      Store.backtrack_to s base;
+      Store.backtrack_to_root s;
       st.restarts <- st.restarts + 1;
       if tracing then
         Obs.Trace.instant ~cat:"search" "restart"
@@ -550,7 +530,7 @@ let run_problem ?(tie_break = Slack_first) ?(restart = Restart.Off) ?nogoods
     else false
   in
   let proved_optimal = slices 1 in
-  Store.backtrack_to s base;
+  Store.backtrack_to_root s;
   if tracing then
     Obs.Trace.complete ~cat:"search" ~ts:t0 "search"
       ~args:

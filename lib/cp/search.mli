@@ -101,26 +101,12 @@ val run_problem :
   ?restart:Restart.policy ->
   ?nogoods:Nogood.t ->
   ?guide:int array ->
-  ?late_vrefs:int array ->
-  ?start_vrefs:int array ->
   'a problem ->
   limits ->
   'a generic_outcome
 (** Explore.  [problem.bound] must hold the strict bound to beat on entry.
     [tie_break] picks the SetTimes tie-breaking rule (default
     {!Slack_first}, the historical behaviour).
-
-    The search treats the store level at entry as its base: restarts and the
-    final unwind return to that level, never below it, so a caller may set
-    up trailed state (objective cut, committed nogoods) in a pushed guard
-    level around the search — {!Session} does.  Called at the root this is
-    the historical behaviour exactly.
-
-    [late_vrefs] / [start_vrefs] name [problem.lates] / [problem.starts]
-    entries in recorded nogood literals (matching the [vars] mapping of the
-    attached {!Nogood} database).  The defaults are the dense convention
-    [j] and [n_lates + i]; a {!Session} passes store variable ids, which
-    stay stable across invocations.
 
     [restart] (default {!Restart.Off}) cuts the DFS into fail-budgeted
     slices.  [nogoods] — only consulted when restarts are on — receives the

@@ -1,51 +1,11 @@
-(* Persistent solver session: one store per manager, mutated between
-   invocations instead of rebuilt.  See session.mli for the contract and
-   the soundness argument of each piece. *)
+(* Solver session: the cold pipeline plus an optimality certificate carried
+   between invocations.  See session.mli for the contract. *)
 
 module T = Mapreduce.Types
 module Instance = Sched.Instance
 module Solution = Sched.Solution
 
-type task_state = Pending | Frozen | Retired
-
-type task_slot = {
-  t_var : Store.var;
-  t_task : T.task;
-  t_is_map : bool;
-  mutable t_state : task_state;
-  (* generation mark: tasks not seen by the current sync have completed *)
-  mutable t_gen : int;
-}
-
-type job_slot = {
-  j_late : Store.var;
-  j_tasks : task_slot array;
-  mutable j_active : bool;
-  mutable j_gen : int;
-}
-
-type core = {
-  store : Store.t;
-  horizon : int;  (* map-start maximum; headroom over the creation need *)
-  value_horizon : int;  (* reduce-start / lfmt maximum *)
-  map_pool : Propagators.dyn_pool;
-  reduce_pool : Propagators.dyn_pool;
-  bound : int ref;  (* max_int between searches: the cut is disarmed *)
-  objective : Propagators.dyn_sum;
-  nogoods : Nogood.t option;
-  jobs : (int, job_slot) Hashtbl.t;  (* job id -> slot *)
-  tasks : (int, task_slot) Hashtbl.t;  (* task id -> slot *)
-  (* previous-solve store counter values, for per-invocation deltas *)
-  mutable generation : int;  (* bumped by every sync *)
-  mutable last_propagations : int;
-  mutable last_wakeups : int;
-  mutable last_ng_prunes : int;
-  mutable last_scratch : int;
-  mutable last_ef : int;
-  mutable last_pm : (string * Store.prop_metric) list;
-}
-
-(* Persistent optimality certificate.  A proved invocation's "no schedule
+(* The optimality certificate.  A proved invocation's "no schedule
    beats [c_bound] late jobs" survives the clock: feasible sets only shrink
    as time advances and frozen prefixes grow (both per dispatched plans),
    and appending never-seen jobs cannot lower the remaining jobs' optimum.
@@ -64,331 +24,10 @@ type cert = {
          dispatched plan *)
 }
 
-type t = {
-  restart : Restart.policy;
-  (* realized start per dispatched task of the store: filled from every
-     returned plan and every freeze, read when a task leaves the instance
-     (completed) and its variable must be fixed at the start it actually
-     ran at *)
-  last_starts : (int, int) Hashtbl.t;
-  mutable core : core option;
-  mutable cert : cert option;
-  mutable cert_proofs : int;
-  (* jobs that departed with lateness 1: the part of every previously
-     recorded nogood bound that is now a realized constant (see
-     {!Nogood.refresh}) *)
-  mutable departed_late : int;
-  mutable retracted : int;
-  mutable appended : int;
-  mutable rebuilds : int;
-  mutable reused : int;
-}
+type t = { mutable cert : cert option; mutable cert_proofs : int }
 
-let create ~options () =
-  {
-    restart = options.Solver.restart;
-    last_starts = Hashtbl.create 256;
-    core = None;
-    cert = None;
-    cert_proofs = 0;
-    departed_late = 0;
-    retracted = 0;
-    appended = 0;
-    rebuilds = 0;
-    reused = 0;
-  }
-
-let stats_retracted t = t.retracted
+let create () = { cert = None; cert_proofs = 0 }
 let stats_cert_proofs t = t.cert_proofs
-let stats_appended_jobs t = t.appended
-let stats_rebuilds t = t.rebuilds
-let stats_reused_nogoods t = t.reused
-
-(* --- store construction --------------------------------------------------- *)
-
-let make_core restart (inst : Instance.t) =
-  let store = Store.create () in
-  (* Headroom over the creation instance's need, so later instances fit
-     without a rebuild until the workload genuinely outgrows it.  A wider
-     domain never changes the optimum: any schedule left-shifts into the
-     tight horizon without increasing lateness.  [default_horizon] grows
-     with the absolute clock, so the multiplicative factor amortizes
-     rebuilds to O(log T) over an open stream, and the additive floor keeps
-     short-horizon streams (tests, small simulations) from ever rebuilding
-     just because the clock ticked past an idle stretch. *)
-  let horizon = (4 * Model.default_horizon inst) + 65_536 in
-  let value_horizon = 2 * horizon in
-  let bound = ref max_int in
-  let nogoods =
-    if restart = Restart.Off then None
-    else begin
-      let db = Nogood.create () in
-      Nogood.attach db store ~vars:[||];
-      (* armed only inside a search's guard level: root syncs mutate the
-         store with no objective bound in force *)
-      Nogood.set_armed db false;
-      Some db
-    end
-  in
-  {
-    store;
-    horizon;
-    value_horizon;
-    map_pool =
-      Propagators.cumulative_dyn store ~capacity:inst.Instance.map_capacity;
-    reduce_pool =
-      Propagators.cumulative_dyn store ~capacity:inst.Instance.reduce_capacity;
-    bound;
-    objective = Propagators.sum_lt_bound_dyn store ~bound;
-    nogoods;
-    jobs = Hashtbl.create 64;
-    tasks = Hashtbl.create 256;
-    generation = 0;
-    last_propagations = 0;
-    last_wakeups = 0;
-    last_ng_prunes = 0;
-    last_scratch = 0;
-    last_ef = 0;
-    last_pm = [];
-  }
-
-(* Append one job's constraint block — the Table-1 rows of Model.build, with
-   two differences: frozen tasks become root-fixed variables (so they live
-   in the same dynamic pool registries their pending siblings do), and the
-   pool/objective propagators are the session's dynamic registries. *)
-let append_job t core (pj : Instance.pending_job) =
-  let s = core.store in
-  let est = pj.Instance.est in
-  let gen = core.generation in
-  let mk_pending ~is_map ~vmax (task : T.task) =
-    {
-      t_var = Store.new_var s ~min:est ~max:vmax;
-      t_task = task;
-      t_is_map = is_map;
-      t_state = Pending;
-      t_gen = gen;
-    }
-  in
-  let mk_fixed ~is_map (f : Instance.fixed_task) =
-    Hashtbl.replace t.last_starts f.Instance.task.T.task_id f.Instance.start;
-    {
-      t_var = Store.new_var s ~min:f.Instance.start ~max:f.Instance.start;
-      t_task = f.Instance.task;
-      t_is_map = is_map;
-      t_state = Frozen;
-      t_gen = gen;
-    }
-  in
-  let maps =
-    Array.append
-      (Array.map (mk_pending ~is_map:true ~vmax:core.horizon)
-         pj.Instance.pending_maps)
-      (Array.map (mk_fixed ~is_map:true) pj.Instance.fixed_maps)
-  in
-  let lfmt = Store.new_var s ~min:0 ~max:core.value_horizon in
-  Propagators.max_of s ~result:lfmt
-    ~terms:
-      (Array.to_list
-         (Array.map (fun sl -> (sl.t_var, sl.t_task.T.exec_time)) maps))
-    ~floor:(max pj.Instance.frozen_lfmt est);
-  let pending_reduces =
-    Array.map
-      (mk_pending ~is_map:false ~vmax:core.value_horizon)
-      pj.Instance.pending_reduces
-  in
-  (* precedence (3) only for movable reduces: a frozen reduce already ran
-     after its maps, and re-imposing lfmt <= start on a fixed variable could
-     only fail spuriously *)
-  Array.iter
-    (fun sl -> Propagators.ge_offset s sl.t_var lfmt 0)
-    pending_reduces;
-  let reduces =
-    Array.append pending_reduces
-      (Array.map (mk_fixed ~is_map:false) pj.Instance.fixed_reduces)
-  in
-  let completion = Store.new_var s ~min:0 ~max:(2 * core.value_horizon) in
-  Propagators.max_of s ~result:completion
-    ~terms:
-      ((lfmt, 0)
-      :: Array.to_list
-           (Array.map (fun sl -> (sl.t_var, sl.t_task.T.exec_time)) reduces))
-    ~floor:pj.Instance.frozen_completion;
-  let late = Store.new_var s ~min:0 ~max:1 in
-  Propagators.lateness s ~late ~completion
-    ~deadline:pj.Instance.job.T.deadline;
-  Propagators.dyn_sum_add core.objective s late;
-  let slot =
-    {
-      j_late = late;
-      j_tasks = Array.append maps reduces;
-      j_active = true;
-      j_gen = gen;
-    }
-  in
-  Array.iter
-    (fun sl ->
-      Hashtbl.replace core.tasks sl.t_task.T.task_id sl;
-      let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
-      Propagators.dyn_add pool s
-        {
-          Propagators.start = sl.t_var;
-          duration = sl.t_task.T.exec_time;
-          demand = sl.t_task.T.capacity_req;
-        })
-    slot.j_tasks;
-  Hashtbl.replace core.jobs pj.Instance.job.T.id slot;
-  t.appended <- t.appended + 1
-
-(* A task left the instance: it completed.  Fix its variable at the start it
-   actually ran at (always inside the root domain: the plan that dispatched
-   it was a solution of this very store) and remove it from its pool
-   registry — its execution window ends at or before [now], every pending
-   est is at least [now], so the removal never loosens the profile any
-   still-movable task sees. *)
-let retire_task t core sl =
-  if sl.t_state <> Retired then begin
-    let s = core.store in
-    (match Hashtbl.find_opt t.last_starts sl.t_task.T.task_id with
-    | Some start ->
-        Store.fix s sl.t_var start;
-        Hashtbl.remove t.last_starts sl.t_task.T.task_id
-    | None -> raise (Store.Fail "session: completed task has no known start"));
-    let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
-    Propagators.dyn_retire pool s sl.t_var;
-    sl.t_state <- Retired;
-    t.retracted <- t.retracted + 1
-  end
-
-(* Diff one already-known job against its instance row: bump pending ests
-   (est = max(s_j, now) only grows), fix newly frozen tasks at their
-   dispatched starts, retire tasks that no longer appear (completed). *)
-let sync_job t core (pj : Instance.pending_job) slot =
-  let s = core.store in
-  let est = pj.Instance.est in
-  let gen = core.generation in
-  let bump (task : T.task) =
-    let sl = Hashtbl.find core.tasks task.T.task_id in
-    sl.t_gen <- gen;
-    Store.set_min s sl.t_var est
-  in
-  Array.iter bump pj.Instance.pending_maps;
-  Array.iter bump pj.Instance.pending_reduces;
-  let freeze (f : Instance.fixed_task) =
-    let id = f.Instance.task.T.task_id in
-    let sl = Hashtbl.find core.tasks id in
-    sl.t_gen <- gen;
-    if sl.t_state = Pending then begin
-      Store.fix s sl.t_var f.Instance.start;
-      Hashtbl.replace t.last_starts id f.Instance.start;
-      sl.t_state <- Frozen
-    end
-  in
-  Array.iter freeze pj.Instance.fixed_maps;
-  Array.iter freeze pj.Instance.fixed_reduces;
-  Array.iter
-    (fun sl -> if sl.t_gen <> gen then retire_task t core sl)
-    slot.j_tasks
-
-let fresh_core t inst =
-  let core = make_core t.restart inst in
-  Array.iter (fun pj -> append_job t core pj) inst.Instance.jobs;
-  Store.propagate core.store;
-  t.core <- Some core;
-  core
-
-(* Bring the persistent store in line with the invocation's instance.  Any
-   root failure during the diff — a horizon outgrown, a realized start
-   outside its domain (which would indicate a propagator bug, but must not
-   take the manager down) — falls back to rebuilding from scratch, which is
-   exactly a cold solve's store. *)
-let sync t (inst : Instance.t) =
-  let apply core =
-    core.generation <- core.generation + 1;
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        match Hashtbl.find_opt core.jobs pj.Instance.job.T.id with
-        | None -> append_job t core pj
-        | Some slot ->
-            slot.j_gen <- core.generation;
-            sync_job t core pj slot)
-      inst.Instance.jobs;
-    let departed = ref [] in
-    Hashtbl.iter
-      (fun _ slot ->
-        if slot.j_active && slot.j_gen <> core.generation then
-          departed := slot :: !departed)
-      core.jobs;
-    List.iter
-      (fun slot -> Array.iter (retire_task t core) slot.j_tasks)
-      !departed;
-    Store.propagate core.store;
-    if !departed <> [] then begin
-      List.iter
-        (fun slot ->
-          (* with every task fixed, propagation fixed the completion chain
-             and hence the lateness variable *)
-          if not (Store.is_fixed core.store slot.j_late) then
-            raise (Store.Fail "session: departed job with open lateness");
-          t.departed_late <-
-            t.departed_late + Store.value core.store slot.j_late;
-          Propagators.dyn_sum_remove core.objective core.store slot.j_late;
-          slot.j_active <- false)
-        !departed;
-      Store.propagate core.store
-    end
-  in
-  match t.core with
-  | Some core when Model.default_horizon inst <= core.horizon -> (
-      try
-        apply core;
-        core
-      with Store.Fail _ ->
-        t.rebuilds <- t.rebuilds + 1;
-        fresh_core t inst)
-  | Some _ ->
-      t.rebuilds <- t.rebuilds + 1;
-      fresh_core t inst
-  | None -> fresh_core t inst
-
-(* --- telemetry ------------------------------------------------------------ *)
-
-let harvest registry core =
-  let s = core.store in
-  let count name v = Obs.Metrics.add (Obs.Metrics.counter registry name) v in
-  count "store/propagations"
-    (Store.stats_propagations s - core.last_propagations);
-  core.last_propagations <- Store.stats_propagations s;
-  count "prop/wakeups_skipped"
-    (Store.stats_wakeups_skipped s - core.last_wakeups);
-  core.last_wakeups <- Store.stats_wakeups_skipped s;
-  count "prop/scratch_reuse" (Store.stats_scratch_reuse s - core.last_scratch);
-  core.last_scratch <- Store.stats_scratch_reuse s;
-  count "prop/edge_finder_prunes"
-    (Store.stats_edge_finder_prunes s - core.last_ef);
-  core.last_ef <- Store.stats_edge_finder_prunes s;
-  count "nogood/prunes" (Store.stats_nogood_prunes s - core.last_ng_prunes);
-  core.last_ng_prunes <- Store.stats_nogood_prunes s;
-  if Store.instrumented s then begin
-    let pms = Store.propagator_metrics s in
-    List.iter
-      (fun (pm : Store.prop_metric) ->
-        let fires0, fails0, time0 =
-          match List.assoc_opt pm.Store.prop_name core.last_pm with
-          | Some p -> (p.Store.fires, p.Store.fails, p.Store.time_s)
-          | None -> (0, 0, 0.)
-        in
-        let pfx = "prop/" ^ pm.Store.prop_name in
-        count (pfx ^ "/fires") (pm.Store.fires - fires0);
-        count (pfx ^ "/fails") (pm.Store.fails - fails0);
-        Obs.Metrics.observe
-          (Obs.Metrics.histogram registry (pfx ^ "/time_s"))
-          (pm.Store.time_s -. time0))
-      pms;
-    core.last_pm <-
-      List.map (fun (pm : Store.prop_metric) -> (pm.Store.prop_name, pm)) pms
-  end
-
-(* --- persistent optimality certificate ------------------------------------ *)
 
 (* Lower bound the certificate yields for [inst]: [c_bound] minus the
    realized lateness of certificate jobs that have completed and left.
@@ -451,269 +90,32 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
               Hashtbl.replace c.c_lates id (entry pj))
           inst.Instance.jobs
 
-(* --- the solve ------------------------------------------------------------ *)
-
 let solve t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
-  let words0 = Gc.minor_words () in
   let registry =
     if options.Solver.instrument then Some (Obs.Metrics.create ()) else None
   in
-  let retracted0 = t.retracted
-  and appended0 = t.appended
-  and rebuilds0 = t.rebuilds
-  and reused0 = t.reused
-  and cert0 = t.cert_proofs in
-  let lb_classic = Solver.late_lower_bound inst in
-  let lb = max lb_classic (cert_lower_bound t inst) in
-  let seed, warm_seeded = Solver.starting_incumbent ?registry ~options ~lb inst in
-  (* every dispatched plan is a future fix point for its tasks: remember it
-     for the tasks the store holds — only those are ever retired from it.
-     A task the store does not hold yet enters it through a later sync,
-     pending (no start needed), frozen (its start comes with it) or not at
-     all (completed in between). *)
-  let remember (sol : Solution.t) =
-    match t.core with
-    | None -> ()
-    | Some core ->
-        let note (task : T.task) =
-          let id = task.T.task_id in
-          if Hashtbl.mem core.tasks id then
-            match Hashtbl.find_opt sol.Solution.starts id with
-            | Some st -> Hashtbl.replace t.last_starts id st
-            | None -> ()
-        in
-        Array.iter
-          (fun (pj : Instance.pending_job) ->
-            Array.iter note pj.Instance.pending_maps;
-            Array.iter note pj.Instance.pending_reduces)
-          inst.Instance.jobs
+  let classic_lb = Solver.late_lower_bound inst in
+  let lb = max classic_lb (cert_lower_bound t inst) in
+  let seed = Solver.starting_incumbent ?registry ~options ~lb inst in
+  let sol, st =
+    Solver.solve_seeded ~options ~link:Solver.null_link ~t0 ~classic_lb ~lb
+      ~seed inst
   in
-  let session_metrics ~core () =
+  let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in
+  if via_cert then t.cert_proofs <- t.cert_proofs + 1;
+  update_cert t ~proved:st.Solver.proved_optimal inst sol;
+  let metrics =
     match registry with
-    | None -> None
+    | None -> st.Solver.metrics
     | Some r ->
-        let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
-        count "session/retracted" (t.retracted - retracted0);
-        count "session/appended_jobs" (t.appended - appended0);
-        count "session/rebuilds" (t.rebuilds - rebuilds0);
-        count "session/reused_nogoods" (t.reused - reused0);
-        count "session/cert_proofs" (t.cert_proofs - cert0);
-        count "store/words_allocated"
-          (int_of_float (Gc.minor_words () -. words0));
-        (match core with Some core -> harvest r core | None -> ());
-        Some (Obs.Metrics.snapshot r)
+        Obs.Metrics.add
+          (Obs.Metrics.counter r "session/cert_proofs")
+          (if via_cert then 1 else 0);
+        let snap = Obs.Metrics.snapshot r in
+        Some
+          (match st.Solver.metrics with
+          | None -> snap
+          | Some m -> Obs.Metrics.merge m snap)
   in
-  let finish ?(core = None) ?(nodes = 0) ?(failures = 0) ?(restarts = 0)
-      ~proved ~stop incumbent =
-    remember incumbent;
-    update_cert t ~proved inst incumbent;
-    ( incumbent,
-      {
-        Obs.Solve_stats.seed_late = seed.Solution.late_jobs;
-        lower_bound = lb;
-        proved_optimal = proved;
-        warm_seeded;
-        stop_reason = stop;
-        nodes;
-        failures;
-        restarts;
-        lns_moves = 0;
-        elapsed = Obs.Clock.now () -. t0;
-        metrics = session_metrics ~core ();
-      } )
-  in
-  (* Laziness mirrors the cold pipeline: a seed-optimal invocation never
-     touches any model there, so it must not pay a store sync here either
-     ([remember] keeps enough — the realized starts — for a later sync to
-     retire whatever completed in between; [sync] is a diff against the
-     instance, not an event log, so skipped invocations simply fold into
-     the next one's diff). *)
-  if seed.Solution.late_jobs <= lb then begin
-    (* proofs the classic bound alone could not have delivered *)
-    let via_cert = seed.Solution.late_jobs > lb_classic in
-    if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    finish ~proved:true
-      ~stop:
-        (if via_cert then Obs.Solve_stats.Hit_carried_bound
-         else if warm_seeded then Obs.Solve_stats.Cache_hit
-         else Obs.Solve_stats.Proved)
-      seed
-  end
-  else if
-    Instance.pending_task_count inst > options.Solver.exact_task_limit
-  then begin
-    (* LNS regime: the neighbourhood moves each solve their own fragment
-       models — nothing for the persistent store to carry.  Hand this pass
-       to the ephemeral pipeline without syncing, with the seed, the classic
-       bound and the pass start already in hand.  The seed is exactly the
-       one the pipeline would compute: [starting_incumbent] consults the
-       bound only on its cache-hit path, which returns a seed at or below
-       it — ruled out here for [lb] and hence for [lb_classic <= lb]. *)
-    let sol, st =
-      Solver.solve_seeded ~options ~link:Solver.null_link ~t0 ~lb:lb_classic
-        ~seed:(seed, warm_seeded) inst
-    in
-    remember sol;
-    update_cert t ~proved:st.Obs.Solve_stats.proved_optimal inst sol;
-    let metrics =
-      match session_metrics ~core:None () with
-      | None -> st.Obs.Solve_stats.metrics
-      | Some snap ->
-          Some
-            (match st.Obs.Solve_stats.metrics with
-            | None -> snap
-            | Some m -> Obs.Metrics.merge m snap)
-    in
-    ( sol,
-      {
-        st with
-        Obs.Solve_stats.metrics;
-        elapsed = Obs.Clock.now () -. t0;
-      } )
-  end
-  else begin
-    let core = sync t inst in
-    if options.Solver.instrument && not (Store.instrumented core.store) then
-      Store.set_instrumented core.store true;
-    let s = core.store in
-    (* search views in the cold model's ordering: instance job order, each
-       job's pending maps then pending reduces *)
-    let lates =
-      Array.map
-        (fun (pj : Instance.pending_job) ->
-          ( (Hashtbl.find core.jobs pj.Instance.job.T.id).j_late,
-            pj.Instance.job.T.deadline ))
-        inst.Instance.jobs
-    in
-    let infos = ref []
-    and pairs = ref []
-    and guides = ref [] in
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        let add (task : T.task) =
-          let sl = Hashtbl.find core.tasks task.T.task_id in
-          infos :=
-            {
-              Search.svar = sl.t_var;
-              duration = task.T.exec_time;
-              deadline = pj.Instance.job.T.deadline;
-            }
-            :: !infos;
-          pairs := (task.T.task_id, sl.t_var) :: !pairs;
-          guides :=
-            (match Hashtbl.find_opt seed.Solution.starts task.T.task_id with
-            | Some g -> g
-            | None -> min_int)
-            :: !guides
-        in
-        Array.iter add pj.Instance.pending_maps;
-        Array.iter add pj.Instance.pending_reduces)
-      inst.Instance.jobs;
-    let starts = Array.of_list (List.rev !infos) in
-    let pairs = Array.of_list (List.rev !pairs) in
-    let guide = Array.of_list (List.rev !guides) in
-    let late_vrefs = Array.map fst lates in
-    let start_vrefs =
-      Array.map (fun (i : Search.start_info) -> i.Search.svar) starts
-    in
-    let extract () =
-      let m = Hashtbl.create (Array.length pairs) in
-      Array.iter (fun (id, v) -> Hashtbl.replace m id (Store.value s v)) pairs;
-      let sol = Solution.evaluate inst m in
-      (sol, sol.Solution.late_jobs)
-    in
-    (* Everything objective-relative — the armed bound, committed nogood
-       watches and unit assertions — lives inside this guard level, so
-       nothing of it survives into the root the next sync mutates. *)
-    core.bound := seed.Solution.late_jobs;
-    Store.push_level s;
-    let hit_lb = ref false in
-    let proved_by_nogood = ref false in
-    (match core.nogoods with
-    | Some db when options.Solver.restart <> Restart.Off ->
-        Nogood.grow_vars db ~vars:(Array.init (Store.num_vars s) Fun.id);
-        Nogood.refresh db ~departed_late:t.departed_late
-          ~initial_bound:seed.Solution.late_jobs;
-        t.reused <- t.reused + Nogood.size db;
-        Nogood.set_armed db true;
-        (try Nogood.commit db
-         with Store.Fail _ ->
-           (* a carried clause is violated before the search even starts:
-              no solution beats the seed — a free optimality proof *)
-           proved_by_nogood := true)
-    | _ -> ());
-    let outcome =
-      Fun.protect
-        ~finally:(fun () ->
-          (match core.nogoods with
-          | Some db -> Nogood.set_armed db false
-          | None -> ());
-          Store.backtrack_to s 0;
-          core.bound := max_int)
-        (fun () ->
-          if !proved_by_nogood then
-            ({
-               Search.best = None;
-               proved_optimal = true;
-               stopped = Search.Exhausted;
-               nodes = 0;
-               failures = 1;
-               restarts = 0;
-             }
-              : Solution.t Search.generic_outcome)
-          else begin
-            Store.schedule s (Propagators.dyn_sum_pid core.objective);
-            let problem =
-              {
-                Search.store = s;
-                starts;
-                lates;
-                bound = core.bound;
-                bound_pid = Propagators.dyn_sum_pid core.objective;
-                extract;
-              }
-            in
-            (* the carried certificate gives this search a bound the cold
-               pipeline does not have: an improving solution that reaches
-               [lb] is optimal, so stop there instead of exhausting the
-               rest of the tree to prove what the certificate already
-               knows *)
-            let limits =
-              {
-                Search.fail_limit = options.Solver.fail_limit;
-                node_limit = 0;
-                wall_deadline = Some (t0 +. options.Solver.time_limit);
-                interrupt = Some (fun () -> !hit_lb);
-                tighten_bound = None;
-                on_improve = Some (fun v -> if v <= lb then hit_lb := true);
-              }
-            in
-            Search.run_problem ~tie_break:options.Solver.tie_break
-              ~restart:options.Solver.restart ?nogoods:core.nogoods ~guide
-              ~late_vrefs ~start_vrefs problem limits
-          end)
-    in
-    let incumbent =
-      match outcome.Search.best with Some b -> b | None -> seed
-    in
-    (* an incumbent meeting [lb] is optimal even when the search was cut
-       short by [hit_lb] before exhausting the tree *)
-    let proved =
-      outcome.Search.proved_optimal || incumbent.Solution.late_jobs <= lb
-    in
-    let via_cert =
-      proved
-      && (not outcome.Search.proved_optimal)
-      && incumbent.Solution.late_jobs > lb_classic
-    in
-    if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    let stop =
-      if via_cert then Obs.Solve_stats.Hit_carried_bound
-      else if proved then Obs.Solve_stats.Proved
-      else Search.stop_reason_of_cause outcome.Search.stopped
-    in
-    finish ~core:(Some core) ~nodes:outcome.Search.nodes
-      ~failures:outcome.Search.failures ~restarts:outcome.Search.restarts
-      ~proved ~stop incumbent
-  end
+  (sol, { st with Solver.metrics; elapsed = Obs.Clock.now () -. t0 })

@@ -1,35 +1,9 @@
-(** Persistent solver session: the zero-rebuild hot path.
+(** Solver session: the cold pipeline plus a carried optimality certificate.
 
-    The cold pipeline ({!Solver.solve}) builds a fresh {!Store} and
-    {!Model} at every manager invocation — variable allocation, propagator
-    registration, watch wiring and first propagation all land on the
-    per-invocation overhead O the paper measures.  A session keeps {e one}
-    store alive for the manager's lifetime and {e diffs} the job set
-    between invocations instead:
-
-    - a newly arrived job appends its Table-1 constraint block (start
-      variables, LFMT/completion [max_of], precedence, lateness, entries in
-      the per-pool capacity registries and the objective sum);
-    - a pending task's est bump ([est = max(s_j, now)] only grows) is a
-      root-level [set_min];
-    - a task that started running is root-fixed at its dispatched start;
-    - a completed task is {e retracted}: fixed at the start it actually ran
-      at, removed from its pool registry ({!Propagators.dyn_retire}), its
-      watch-list entries unhooked ({!Store.unwatch}).  Its window ends at
-      or before [now] while every pending est is at least [now], so the
-      retraction never changes what the remaining tasks see;
-    - a departed job's realized lateness moves into the session's
-      departed-late counter and its variables go inert.
-
-    Search then re-enters the {e same} store: the nogood database survives
-    (clauses revalidated against departures by {!Nogood.refresh}), and all
-    propagation scratch — pool event permutations, Θ-tree buffers, watch
-    pools — is already warm.  Everything objective-relative (the armed
-    bound, committed nogood watches and unit assertions) lives in a guard
-    level pushed around each search, because root state must stay valid
-    across invocations whose objectives differ.
-
-    The session also carries an {e optimality certificate} between
+    Every invocation runs the one {!Solver} pipeline — seed → bound →
+    exact search or LNS — on a freshly built model, under the caller's
+    options ([kernel], [restart] and the limits apply to every pass).  What
+    the session adds is an {e optimality certificate} carried between
     invocations: after a proved solve it records the proved Σ N_j together
     with each job's lateness and completion under the installed plan.  On a
     later instance the certificate yields a lower bound — the proved bound
@@ -38,25 +12,17 @@
     its deadline even alone is late in every schedule, so the two bounds
     add; see {!Solver.job_doomed}).  Time only shrinks the feasible set
     (ests grow, started tasks freeze at their dispatched starts), so the
-    old proof remains a valid bound on the surviving subset.  A seed that
-    meets the carried bound is proved optimal with {e no search at all},
-    and a search whose improving incumbent reaches the bound stops
-    immediately instead of exhausting the tree to re-prove it — the two
-    mechanisms behind the session's overhead reduction on contended
-    streams, where the expensive part of every cold invocation is
-    re-proving optimality the previous invocation already established.
+    old proof remains a valid bound on the surviving subset.
 
-    The session store's domains are a superset of the cold model's (the
-    horizon is doubled at creation), and the search is complete, so per
-    invocation the session proves the {e same optimum} a cold solve does —
-    the differential property test in [test/test_session.ml] checks exactly
-    that.  When an instance outgrows the horizon — or any root operation
-    fails unexpectedly — the session rebuilds from scratch, which is
-    precisely a cold store.  Instances past [options.exact_task_limit] fall
-    back to the ephemeral LNS pipeline for that invocation (fragment models
-    are throwaway by design), handed the session's seed, bound and pass
-    start through {!Solver.solve_seeded} so nothing is seeded twice; the
-    store stays synced throughout.
+    Each pass works out [lb = max (late_lower_bound inst) (certificate
+    bound)], seeds once against it, and hands the pass to
+    {!Solver.solve_seeded} with that [lb].  A seed that meets [lb] is
+    proved optimal with {e no search at all}; an exact search or an LNS
+    loop whose incumbent reaches [lb] stops there instead of exhausting the
+    tree (or stalling) to re-prove what the certificate already knows.
+    Since [lb] is a valid lower bound, a session pass returns a plan with
+    the same Σ N_j a cold solve proves whenever both prove optimality; the
+    first pass of a fresh session is exactly the cold solve.
 
     A session serves one manager sequentially — it is not thread-safe and
     is not used by the multi-domain {!Portfolio} (managers run sessions
@@ -64,45 +30,25 @@
 
 type t
 
-val create : options:Solver.options -> unit -> t
-(** A session for a manager that will solve with (at least) these options.
-    [options.restart] decides once whether the session carries a nogood
-    database across invocations; the remaining options are read per
-    {!solve} call. *)
+val create : unit -> t
+(** A session with no certificate yet. *)
 
 val solve :
   t ->
   options:Solver.options ->
   Sched.Instance.t ->
   Sched.Solution.t * Solver.stats
-(** Run the seed → bound → search pipeline against the persistent store.
-    The sync is {e lazy}, mirroring the cold pipeline's laziness: an
-    invocation settled by the bound (seed-optimal, possibly via the carried
-    certificate) or routed to LNS never touches the store at all — the
-    skipped diff simply folds into the next searching invocation's diff.
-    Same contract as {!Solver.solve}: never fails, at worst returns the
-    greedy seed.  With [options.instrument] the stats carry the session
-    counters ([session/retracted], [session/appended_jobs],
-    [session/rebuilds], [session/reused_nogoods], [session/cert_proofs],
-    [store/words_allocated]) along with per-invocation deltas of the store
-    counters. *)
-
-(** {1 Introspection} (cumulative over the session's lifetime) *)
-
-val stats_retracted : t -> int
-(** Completed tasks retracted from pool registries. *)
-
-val stats_appended_jobs : t -> int
-(** Job blocks appended (rebuilds re-append live jobs). *)
-
-val stats_rebuilds : t -> int
-(** Times the store was rebuilt from scratch (outgrown horizon, or a root
-    sync failure). *)
-
-val stats_reused_nogoods : t -> int
-(** Carried clauses surviving {!Nogood.refresh}, summed over solves. *)
+(** One pass of the {!Solver} pipeline with the certificate's bound, then a
+    certificate update from the returned plan.  Same contract as
+    {!Solver.solve}: never fails, at worst returns the greedy seed.  A pass
+    that ends only because its incumbent met the carried bound (and not the
+    instance's own {!Solver.late_lower_bound}, nor an exhaustive search)
+    reports [stop_reason = Hit_carried_bound].  With [options.instrument]
+    the stats carry [session/cert_proofs] (1 on such a pass, else 0) along
+    with the pipeline's own counters. *)
 
 val stats_cert_proofs : t -> int
-(** Invocations proved optimal by the carried optimality certificate alone —
-    proofs the instance's own lower bound could not deliver, so a cold solve
-    would have had to search for them. *)
+(** Invocations proved optimal by the carried optimality certificate —
+    proofs the instance's own lower bound could not deliver, so a cold
+    solve would have had to search for them.  Cumulative over the
+    session's lifetime. *)

@@ -463,14 +463,24 @@ let run_exact ?tie_break ?registry ?kernel ?(restart = Restart.Off) ?nogoods
 (* Everything after the seed: the bound check, then exact search or LNS.
    [t0] is the pass start — the origin of [elapsed] and the anchor of the
    [time_limit] deadline — so a caller that seeded before handing over is
-   charged for its seeding too.  Without nogoods, an LNS move whose relaxed
-   job set and bound were already searched in vain against the current
-   incumbent is counted as a stall without running; [lns_moves], [nodes]
-   and [failures] count only the moves that ran, and [lns/moves_skipped]
-   the others. *)
-let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
-    (inst : Instance.t) =
+   charged for its seeding too.  [lb] is any valid lower bound on Σ N_j and
+   [classic_lb <= lb] the instance's own {!late_lower_bound}: every regime
+   stops as soon as its incumbent meets [lb], and such a stop above
+   [classic_lb] is the carried bound's proof ([Hit_carried_bound]).
+   Without nogoods, an LNS move whose relaxed job set and bound were
+   already searched in vain against the current incumbent is counted as a
+   stall without running; [lns_moves], [nodes] and [failures] count only
+   the moves that ran, and [lns/moves_skipped] the others. *)
+let search_from ~options ~link ~registry ~t0 ~classic_lb ~lb
+    (seed_sol, warm_seeded) (inst : Instance.t) =
   let deadline = t0 +. options.time_limit in
+  (* why a pass whose incumbent met [lb] without an exhaustive search
+     stopped *)
+  let bound_met (sol : Solution.t) =
+    if sol.Solution.late_jobs > classic_lb then
+      Obs.Solve_stats.Hit_carried_bound
+    else Obs.Solve_stats.Proved
+  in
   link.announce seed_sol.Solution.late_jobs;
   let nodes = ref 0
   and failures = ref 0
@@ -512,8 +522,9 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
   if seed_sol.Solution.late_jobs <= lb then
     finish seed_sol true
       ~stop:
-        (if warm_seeded then Obs.Solve_stats.Cache_hit
-         else Obs.Solve_stats.Proved)
+        (match bound_met seed_sol with
+        | Obs.Solve_stats.Proved when warm_seeded -> Obs.Solve_stats.Cache_hit
+        | stop -> stop)
   else begin
     let task_count = Instance.pending_task_count inst in
     if task_count <= options.exact_task_limit then begin
@@ -554,7 +565,8 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
       in
       finish incumbent proved
         ~stop:
-          (if proved then Obs.Solve_stats.Proved
+          (if outcome.Search.proved_optimal then Obs.Solve_stats.Proved
+           else if proved then bound_met incumbent
            else Search.stop_reason_of_cause outcome.Search.stopped)
     end
     else begin
@@ -692,7 +704,7 @@ let search_from ~options ~link ~registry ~t0 ~lb (seed_sol, warm_seeded)
       count registry "lns/moves_skipped" !skipped;
       (* mirror [continue]'s evaluation order for the attributed cause *)
       let stop =
-        if !incumbent.Solution.late_jobs <= lb then Obs.Solve_stats.Proved
+        if !incumbent.Solution.late_jobs <= lb then bound_met !incumbent
         else if !stall >= options.lns_max_stall then Obs.Solve_stats.Lns_stall
         else if not (Obs.Clock.now () < deadline) then
           Obs.Solve_stats.Wall_limit
@@ -710,10 +722,11 @@ let solve_linked ~options ~link (inst : Instance.t) =
   let registry = new_registry options in
   let lb = late_lower_bound inst in
   let seed = starting_incumbent ?registry ~options ~lb inst in
-  search_from ~options ~link ~registry ~t0 ~lb seed inst
+  search_from ~options ~link ~registry ~t0 ~classic_lb:lb ~lb seed inst
 
-let solve_seeded ~options ~link ~t0 ~lb ~seed inst =
-  search_from ~options ~link ~registry:(new_registry options) ~t0 ~lb seed inst
+let solve_seeded ~options ~link ~t0 ~classic_lb ~lb ~seed inst =
+  search_from ~options ~link ~registry:(new_registry options) ~t0 ~classic_lb
+    ~lb seed inst
 
 let solve ?(options = default_options) (inst : Instance.t) =
   solve_linked ~options ~link:null_link inst

@@ -56,11 +56,13 @@ type options = {
           worse than a cold one. *)
   kernel : Propagators.kernel;
       (** capacity-constraint implementation for every model the solve
-          builds (default {!Propagators.Both}; [Timetable] is the escape
-          hatch reproducing the pre-overhaul trajectory exactly, [Naive] the
-          allocation-heavy reference kernel). *)
+          builds — cold, {!Session} and portfolio passes alike (default
+          {!Propagators.Both}; [Timetable] is the escape hatch reproducing
+          the pre-overhaul trajectory exactly, [Naive] the allocation-heavy
+          reference kernel). *)
   restart : Restart.policy;
-      (** restart policy for every exact search the solve runs (default
+      (** restart policy for every exact search the solve runs, in cold and
+          {!Session} passes alike (default
           {!Restart.Off}: the deterministic chronological DFS, bit-for-bit
           the pre-restart trajectories).  Any other policy makes searches
           record rightmost-branch nogoods into one {!Nogood} database shared
@@ -139,19 +141,26 @@ val solve_seeded :
   options:options ->
   link:link ->
   t0:float ->
+  classic_lb:int ->
   lb:int ->
   seed:Sched.Solution.t * bool ->
   Sched.Instance.t ->
   Sched.Solution.t * stats
-(** The pipeline of {!solve_linked} after its seed: the caller has already
-    computed [lb = late_lower_bound inst] and [seed = starting_incumbent
-    ~options ~lb inst] (or a call that provably returns the same pair), and
-    [t0] is when its pass started.  [t0] anchors both the [time_limit]
-    deadline and [elapsed], so the returned stats cover the caller's
-    bound and seed as well.  {!Session}'s LNS regime hands over through
-    here instead of seeding a second time.  The [metrics] registry (when
-    instrumented) is fresh: counters the caller recorded while seeding are
-    the caller's to merge. *)
+(** The pipeline of {!solve_linked} after its seed.  The caller has already
+    computed [classic_lb = late_lower_bound inst], a lower bound [lb >=
+    classic_lb] — any valid lower bound on the instance's Σ N_j, such as
+    {!Session}'s carried certificate — and [seed = starting_incumbent
+    ~options ~lb inst]; [t0] is when its pass started.  [t0] anchors both
+    the [time_limit] deadline and [elapsed], so the returned stats cover the
+    caller's bound and seed as well.  Every regime stops as soon as its
+    incumbent meets [lb] (the seed check, the exact search, the LNS loop),
+    and reports [lower_bound = lb].  Such a stop reports [Proved] (or
+    [Cache_hit] for an adopted warm seed) when the incumbent also meets
+    [classic_lb], and [Hit_carried_bound] when only [lb] proves it; an
+    exhaustive exact search reports [Proved].  With [lb = classic_lb] this
+    is exactly {!solve_linked}.  The [metrics] registry (when instrumented)
+    is fresh: counters the caller recorded while seeding are the caller's
+    to merge. *)
 
 val greedy_seed :
   ?registry:Obs.Metrics.t ->
@@ -216,7 +225,7 @@ val job_doomed : Sched.Instance.t -> Sched.Instance.pending_job -> bool
 (** Can the job provably not meet its deadline even with the whole cluster
     to itself (wave bound from est over frozen floors)?  Independent of
     every other job, so these dooms add onto any lower bound for a disjoint
-    job set — {!Cp.Session} exploits exactly that. *)
+    job set — {!Session} exploits exactly that. *)
 
 val solve : ?options:options -> Sched.Instance.t -> Sched.Solution.t * stats
 (** Never fails: at worst returns the greedy seed. *)

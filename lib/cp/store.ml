@@ -330,26 +330,6 @@ let watch t v pid =
   watch_min t v pid;
   watch_max t v pid
 
-(* Unlink every watch edge of [pid] from [v]'s three lists.  The pool slots
-   are not recycled — retraction is rare compared to registration, and a
-   leaked slot is one int pair — but the lists themselves stay exact, so a
-   retracted propagator is never notified again. *)
-let unwatch t v pid =
-  for ev = 0 to 2 do
-    let key = (3 * v) + ev in
-    let prev = ref (-1) and k = ref t.watch_head.(key) in
-    while !k >= 0 do
-      let next = t.wl_next.(!k) in
-      if t.wl_pid.(!k) = pid then begin
-        if !prev < 0 then t.watch_head.(key) <- next
-        else t.wl_next.(!prev) <- next;
-        if next < 0 then t.watch_tail.(key) <- !prev
-      end
-      else prev := !k;
-      k := next
-    done
-  done
-
 (* Unconditional wakeup: used for the initial run and when non-variable
    input changed (e.g. the objective bound ref), which the timestamp rule
    cannot see. *)
@@ -431,18 +411,13 @@ let backtrack t =
 
 let level t = Vec.length t.level_marks
 
-let backtrack_to t target =
-  if target < 0 || target > level t then
-    invalid_arg "Store.backtrack_to: bad target level";
-  while level t > target do
+let backtrack_to_root t =
+  while level t > 0 do
     backtrack t
   done;
   (* no pending wakeups should survive across a search reset *)
   drain_queues t
 
-let backtrack_to_root t = backtrack_to t 0
-
-let num_vars t = t.nvars
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped
 let stats_scratch_reuse t = t.scratch_reuse

@@ -84,12 +84,6 @@ val watch_fix : t -> var -> propagator_id -> unit
 val watch : t -> var -> propagator_id -> unit
 (** Wake on any bound change: [watch_min] + [watch_max]. *)
 
-val unwatch : t -> var -> propagator_id -> unit
-(** Remove every watch of [pid] on [var] (all three event lists): the
-    propagator is never again notified of the variable's changes.  Used by
-    {!Session} to unhook retracted tasks from their pool propagators.  Cost
-    is linear in the variable's watch-list lengths. *)
-
 val schedule : t -> propagator_id -> unit
 (** Explicitly enqueue (for the initial run after registration, and whenever
     a non-variable input — e.g. an objective bound ref — changed, which the
@@ -107,15 +101,8 @@ val backtrack : t -> unit
 val level : t -> int
 (** Current depth (0 at root). *)
 
-val backtrack_to : t -> int -> unit
-(** [backtrack_to t n] pops levels until {!level} is [n] and clears the
-    propagation queues.  Lets a search started above the root (e.g. inside a
-    {!Session} guard level) reset to its own entry level instead of
-    unwinding state it does not own.  @raise Invalid_argument when [n] is
-    negative or above the current level. *)
-
 val backtrack_to_root : t -> unit
-(** [backtrack_to t 0]. *)
+(** Pop every level and clear the propagation queues. *)
 
 val restore_stamp : t -> var -> int
 (** Monotone per-variable undo stamp: bumped whenever a {!backtrack} restores
@@ -128,7 +115,6 @@ val restore_stamp : t -> var -> int
 
 (** {2 Introspection} *)
 
-val num_vars : t -> int
 val stats_propagations : t -> int
 (** Number of propagator executions so far (for benchmarks). *)
 

@@ -34,9 +34,9 @@ type config = {
           (see {!Mrcp.Manager.config}); [false] reproduces the paper's cold
           re-solve on every invocation ([--no-warm-start] in the CLIs) *)
   session : bool;
-      (** solve through a persistent {!Cp.Session} (one store per manager,
-          diffed between invocations); [false] rebuilds the model on every
-          invocation ([--no-session] in the CLIs) *)
+      (** solve through a {!Cp.Session}, which carries an optimality
+          certificate between invocations; [false] solves every invocation
+          cold ([--no-session] in the CLIs) *)
   kernel : Cp.Propagators.kernel;
       (** propagation kernel for every CP solve ([--kernel] in the CLIs;
           default {!Cp.Propagators.Both}) *)
@@ -61,7 +61,7 @@ type config = {
 
 val default_config : config
 (** 200 jobs, 3 reps, MRCP-RM, EDF, 0.2 s budget, 1 domain, 300 s deferral
-    window, warm start on, persistent session on. *)
+    window, warm start on, session on. *)
 
 type point = {
   label : string;

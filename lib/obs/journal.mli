@@ -32,7 +32,9 @@ val version : int
     v2 added the fault events ("resource-crash", "resource-rejoin",
     "task-attempt-failed", "straggler") and the run-end fault totals
     (crash/rejoin/failure/straggler counters, [lost_work_ms]); v1 readers
-    must reject it. *)
+    must reject it.  v3 removed the store-diff counters [appended_jobs],
+    [retracted], [rebuilds] and [reused_nogoods] from the invoke event's
+    [session] block, which now holds only [cert_proofs]. *)
 
 val create : unit -> t
 

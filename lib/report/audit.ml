@@ -101,7 +101,7 @@ let of_string text =
     List.iter
       (fun (line, j) ->
         (match int_field "v" j with
-        | Some (1 | 2) -> ()
+        | Some (1 | 2 | 3) -> ()
         | Some v ->
             failwith (Printf.sprintf "line %d: unsupported version %d" line v)
         | None -> failwith (Printf.sprintf "line %d: missing version" line));

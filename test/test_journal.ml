@@ -221,7 +221,7 @@ let test_audit_rejects_garbage () =
         (String.length e > 0 && String.sub e 0 6 = "line 1"));
   match
     Report.Audit.of_string
-      {|{"v":3,"seq":0,"t":0,"ev":"arrival","job":0,"est":0,"deadline":1,"tasks":1}|}
+      {|{"v":4,"seq":0,"t":0,"ev":"arrival","job":0,"est":0,"deadline":1,"tasks":1}|}
   with
   | Ok _ -> Alcotest.fail "accepted future version"
   | Error _ -> ()
@@ -251,6 +251,39 @@ let test_journaling_off_bit_identity () =
       Alcotest.(check bool) "stop reason" true
         (off.Cp.Solver.stop_reason = on.Cp.Solver.stop_reason)
   | _ -> Alcotest.fail "missing solver stats"
+
+(* --- invoke session block ----------------------------------------------- *)
+
+(* Schema v3: every invoke event of a session-solving manager carries a
+   [session] block holding exactly [cert_proofs], the pass's proofs by the
+   carried certificate (0 or 1). *)
+let test_session_block_v3 () =
+  let j = Obs.Journal.create () in
+  ignore (run_sim ~journal:j ~seed:42 ());
+  let invokes =
+    String.split_on_char '\n' (Obs.Journal.to_string j)
+    |> List.filter_map (fun l ->
+           match Obs.Json.of_string l with
+           | Ok ev
+             when Option.bind (Obs.Json.member "ev" ev) Obs.Json.to_string_opt
+                  = Some "invoke" ->
+               Some ev
+           | _ -> None)
+  in
+  Alcotest.(check bool) "invokes present" true (invokes <> []);
+  List.iter
+    (fun ev ->
+      Alcotest.(check (option int))
+        "v3" (Some 3)
+        (Option.bind (Obs.Json.member "v" ev) Obs.Json.to_int_opt);
+      match Obs.Json.member "session" ev with
+      | Some (Obs.Json.Obj [ ("cert_proofs", Obs.Json.Int n) ]) ->
+          Alcotest.(check bool) "cert_proofs is 0 or 1" true (n = 0 || n = 1)
+      | Some other ->
+          Alcotest.failf "session block is not {cert_proofs}: %s"
+            (Obs.Json.to_string other)
+      | None -> Alcotest.fail "invoke without a session block")
+    invokes
 
 (* --- stop reasons ------------------------------------------------------- *)
 
@@ -297,6 +330,11 @@ let () =
         [
           Alcotest.test_case "journaling-off bit-identity" `Slow
             test_journaling_off_bit_identity;
+        ] );
+      ( "session-block",
+        [
+          Alcotest.test_case "v3 holds only cert_proofs" `Slow
+            test_session_block_v3;
         ] );
       ( "stop-reason",
         [

@@ -585,7 +585,7 @@ let test_lns_session_seeds_once () =
   in
   Alcotest.(check bool) "seed above the bound" true
     (seed.Solution.late_jobs > Cp.Solver.late_lower_bound inst);
-  let session = Cp.Session.create ~options:lns_options () in
+  let session = Cp.Session.create () in
   let _, st = Cp.Session.solve session ~options:lns_options inst in
   Alcotest.(check bool) "LNS ran" true (st.Cp.Solver.lns_moves > 0);
   Alcotest.(check int) "session seed passes = one seed" one_seed
@@ -607,7 +607,7 @@ let test_lns_elapsed_covers_pass () =
   let t_seed = Obs.Clock.now () in
   ignore (Cp.Solver.starting_incumbent ~options inst);
   let seeding = Obs.Clock.now () -. t_seed in
-  let session = Cp.Session.create ~options () in
+  let session = Cp.Session.create () in
   let t0 = Obs.Clock.now () in
   let _, st = Cp.Session.solve session ~options inst in
   let wall = Obs.Clock.now () -. t0 in

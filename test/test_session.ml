@@ -1,14 +1,15 @@
-(* Differential tests for the persistent solver session (Cp.Session).
+(* Differential tests for the solver session (Cp.Session): the cold
+   pipeline plus a carried optimality certificate.
 
    The core property: driven through the same arrival / complete / freeze
-   sequence, the persistent session and a fresh cold solve must prove the
-   same optimum on every instance (the session's store is a live superset of
-   the cold model — wider horizon, retracted tasks fixed in place — so under
-   proof-complete budgets both searches are complete over the same feasible
-   set).  The mini-driver below replays the manager's Table-2 classification
-   without the manager, so the session sees realistic diffs: est bumps,
-   frozen (started-but-running) tasks, retracted completions, departed jobs,
-   and mid-stream arrivals. *)
+   sequence, the session and a fresh cold solve must prove the same optimum
+   on every instance (the certificate only raises the lower bound the
+   pipeline stops at, and it is a valid bound, so under proof-complete
+   budgets both land on the same objective).  A fresh session's first pass
+   must be the cold solve itself.  The mini-driver below replays the
+   manager's Table-2 classification without the manager, so the session
+   sees realistic streams: est bumps, frozen (started-but-running) tasks,
+   completions, departed jobs, and mid-stream arrivals. *)
 
 module T = Mapreduce.Types
 module Instance = Sched.Instance
@@ -92,17 +93,18 @@ let install dispatch (inst : Instance.t) (sol : Solution.t) =
     inst.Instance.jobs
 
 (* Event times: every distinct arrival, plus two drain points so tasks
-   complete (exercising retraction) and jobs depart entirely. *)
+   complete and jobs depart entirely (exercising the certificate's
+   departed-lateness accounting). *)
 let event_times jobs =
   let arrivals = List.map (fun j -> j.T.arrival) jobs in
   let last = List.fold_left max 0 arrivals in
   List.sort_uniq compare (arrivals @ [ last + 37; last + 5_000 ])
 
-(* Run the whole stream through one persistent session, cold-solving every
+(* Run the whole stream through one session, cold-solving every
    instance alongside it.  [check inst session_result cold_result] runs per
    event; the session's plan drives the stream. *)
 let drive ~options ~map_cap ~reduce_cap jobs check =
-  let session = Cp.Session.create ~options () in
+  let session = Cp.Session.create () in
   let dispatch = Hashtbl.create 64 in
   List.iter
     (fun now ->
@@ -189,44 +191,66 @@ let prop_session_matches_cold ~restart ~count name =
       in
       true)
 
-(* (b) Session bookkeeping under lazy sync: the store only sees the jobs of
-   invocations that actually searched (seed-optimal and LNS invocations
-   never touch it), so the exact stream totals are upper bounds — but the
-   counters must stay consistent with them, and nothing on these tiny
-   streams may force a rebuild. *)
-let prop_session_counters =
-  QCheck.Test.make ~count:40 ~name:"session counters account for the stream"
+(* (b) A fresh session is the cold solve: with no certificate yet, its
+   bound is the instance's own, so the first pass must return the cold
+   pipeline's plan and trajectory exactly — in both regimes, with and
+   without restarts. *)
+let prop_fresh_session_is_cold =
+  QCheck.Test.make ~count:30 ~name:"a fresh session is the cold solve"
     arb_stream
     (fun (jobs, map_cap, reduce_cap) ->
-      let options = proof_options Cp.Restart.Off in
-      let session =
-        drive ~options ~map_cap ~reduce_cap jobs (fun _ _ _ -> ())
+      let last = List.fold_left (fun acc j -> max acc j.T.arrival) 0 jobs in
+      let inst =
+        instance_at ~now:last ~map_cap ~reduce_cap (Hashtbl.create 1) jobs
       in
-      let n_tasks = List.fold_left (fun acc j -> acc + T.task_count j) 0 jobs in
-      let appended = Cp.Session.stats_appended_jobs session in
-      let retracted = Cp.Session.stats_retracted session in
-      let rebuilds = Cp.Session.stats_rebuilds session in
-      if rebuilds <> 0 then
-        QCheck.Test.fail_reportf "%d rebuilds on a tiny stream" rebuilds;
-      if appended > List.length jobs then
-        QCheck.Test.fail_reportf "appended %d jobs, stream has only %d"
-          appended (List.length jobs);
-      if retracted > n_tasks then
-        QCheck.Test.fail_reportf "retracted %d tasks, stream has only %d"
-          retracted n_tasks;
+      let sorted_starts (sol : Solution.t) =
+        List.sort compare
+          (Hashtbl.fold (fun id st acc -> (id, st) :: acc) sol.Solution.starts
+             [])
+      in
+      List.iter
+        (fun (regime, exact_task_limit) ->
+          List.iter
+            (fun restart ->
+              let options =
+                {
+                  (proof_options restart) with
+                  Cp.Solver.exact_task_limit;
+                  fail_limit = 200;
+                  lns_max_stall = 4;
+                }
+              in
+              let ssol, sst =
+                Cp.Session.solve (Cp.Session.create ()) ~options inst
+              in
+              let csol, cst = Cp.Solver.solve ~options inst in
+              let differs what =
+                QCheck.Test.fail_reportf "%s (%s, %s) differs on %a" what
+                  regime (Cp.Restart.to_string restart) Instance.pp inst
+              in
+              if sorted_starts ssol <> sorted_starts csol then differs "starts";
+              if ssol.Solution.late_jobs <> csol.Solution.late_jobs then
+                differs "late count";
+              if ssol.Solution.total_tardiness <> csol.Solution.total_tardiness
+              then differs "tardiness";
+              if sst.Cp.Solver.nodes <> cst.Cp.Solver.nodes then
+                differs "nodes";
+              if sst.Cp.Solver.failures <> cst.Cp.Solver.failures then
+                differs "failures";
+              if sst.Cp.Solver.stop_reason <> cst.Cp.Solver.stop_reason then
+                differs "stop reason")
+            [ Cp.Restart.Off; Cp.Restart.Luby 16 ])
+        [ ("exact", 200); ("lns", 0) ];
       true)
 
 (* --- deterministic cases ------------------------------------------------ *)
 
-(* Contention streams exercise the store: two unit-capacity jobs whose
-   deadlines only one can meet force a real search (the contention lateness
-   is invisible to the solo lower bound), so the session must sync.  A
-   second contending pair arriving after the first drained makes that later
-   sync retire the departed pair's tasks.  Lazy sync means only searched
-   invocations touch the store: the drain events at the end are
-   seed-optimal and never sync, so the second pair's tasks are still live
-   when the stream ends — appended counts all four jobs, retracted only the
-   first pair's tasks. *)
+(* Contention streams: two unit-capacity jobs whose deadlines only one can
+   meet force a real search (the contention lateness is invisible to the
+   solo lower bound).  A second contending pair arrives after the first
+   drained, so the certificate the first pair's proof left behind must
+   account for its departed lateness before it bounds the second pair's
+   pass. *)
 let contention_stream () =
   Gen.reset_tasks ();
   [
@@ -238,23 +262,61 @@ let contention_stream () =
       ~reduces:[] ();
   ]
 
-let test_counters_deterministic () =
-  let jobs = contention_stream () in
-  let options = proof_options Cp.Restart.Off in
-  let session =
-    drive ~options ~map_cap:1 ~reduce_cap:1 jobs
-      (fun inst (ssol, sst) (csol, cst) ->
-        Alcotest.(check bool) "session proved" true sst.Cp.Solver.proved_optimal;
-        Alcotest.(check bool) "cold proved" true cst.Cp.Solver.proved_optimal;
-        Alcotest.(check int) "same optimum" csol.Solution.late_jobs
-          ssol.Solution.late_jobs;
-        Alcotest.(check (list string))
-          "feasible" []
-          (Solution.feasibility_errors inst ssol))
+(* A longer stream around the pairs: an advance reservation (job 2) still
+   pending while twenty easy arrivals pass, each seed-settled, then a
+   second contending pair at t = 300. *)
+let reservation_stream () =
+  Gen.reset_tasks ();
+  let pair at id =
+    [
+      Gen.mk_job ~id ~arrival:at ~est:at ~deadline:(at + 10) ~maps:[ 10 ]
+        ~reduces:[] ();
+      Gen.mk_job ~id:(id + 1) ~arrival:at ~est:at ~deadline:(at + 12)
+        ~maps:[ 10 ] ~reduces:[] ();
+    ]
   in
-  Alcotest.(check int) "appended" 4 (Cp.Session.stats_appended_jobs session);
-  Alcotest.(check int) "retracted" 2 (Cp.Session.stats_retracted session);
-  Alcotest.(check int) "rebuilds" 0 (Cp.Session.stats_rebuilds session)
+  let first = pair 0 0 in
+  let reservation =
+    Gen.mk_job ~id:2 ~est:200 ~deadline:400 ~maps:[ 5 ] ~reduces:[ 5 ] ()
+  in
+  let easy =
+    List.init 20 (fun k ->
+        let at = 30 + (10 * k) in
+        Gen.mk_job ~id:(3 + k) ~arrival:at ~est:at ~deadline:(at + 50)
+          ~maps:[ 2 ] ~reduces:[] ())
+  in
+  first @ (reservation :: easy) @ pair 300 23
+
+let test_counters_deterministic () =
+  let options = proof_options Cp.Restart.Off in
+  let run jobs =
+    let settled = ref 0 in
+    let session =
+      drive ~options ~map_cap:1 ~reduce_cap:1 jobs
+        (fun inst (ssol, sst) (csol, cst) ->
+          let at what = Printf.sprintf "t=%d: %s" inst.Instance.now what in
+          Alcotest.(check bool) (at "session proved") true
+            sst.Cp.Solver.proved_optimal;
+          Alcotest.(check bool) (at "cold proved") true
+            cst.Cp.Solver.proved_optimal;
+          Alcotest.(check int) (at "same optimum") csol.Solution.late_jobs
+            ssol.Solution.late_jobs;
+          Alcotest.(check (list string))
+            (at "feasible") []
+            (Solution.feasibility_errors inst ssol);
+          if sst.Cp.Solver.seed_late <= sst.Cp.Solver.lower_bound then
+            incr settled)
+    in
+    (Cp.Session.stats_cert_proofs session, !settled)
+  in
+  (* both pairs are proved by search: the second pair arrives with the
+     first pair's certificate reduced to 0 by its departure *)
+  Alcotest.(check (pair int int))
+    "contention: certificate proofs, seed-settled passes" (0, 2)
+    (run (contention_stream ()));
+  Alcotest.(check (pair int int))
+    "reservation: certificate proofs, seed-settled passes" (0, 22)
+    (run (reservation_stream ()))
 
 (* The carried optimality certificate: after the t = 0 search proves the
    contending pair costs one late job, a t = 1 re-invocation (triggered by a
@@ -287,58 +349,100 @@ let test_cert_proof () =
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)
 
-(* Plans are remembered only for tasks the store holds.  The t = 0 pair
-   contends, so that pass searches and the store takes in jobs 0-2; job 2
-   is an advance reservation still pending at t = 200.  Twenty easy
-   arrivals follow, each pass seed-settled, so none of them syncs and their
-   tasks never enter the store; the pair and job 2 complete meanwhile.  At
-   t = 300 a second contending pair forces a search, whose sync retires
-   every completed task of the store: each must have a remembered start,
-   or the sync fails and the session rebuilds. *)
-let test_remember_store_tasks () =
+(* One stopping rule for both regimes: a pass stops as soon as its
+   incumbent meets the session's bound, which carries the previous pass's
+   proof.  [carried_pass jobs ~later options] proves the t = 0 jobs
+   exactly, installs the plan, and solves the t = 1 instance (where the
+   [later] job has arrived) through the session and cold, both under
+   [options]. *)
+let carried_pass ~map_cap jobs ~later options =
+  let session = Cp.Session.create () in
+  let dispatch = Hashtbl.create 16 in
+  let inst_at now =
+    instance_at ~now ~map_cap ~reduce_cap:1 dispatch (jobs @ [ later ])
+  in
+  let inst0 = inst_at 0 in
+  let sol0, st0 =
+    Cp.Session.solve session ~options:(proof_options Cp.Restart.Off) inst0
+  in
+  Alcotest.(check bool) "t=0 proved" true st0.Cp.Solver.proved_optimal;
+  Alcotest.(check bool) "t=0 optimum above the instance's own bound" true
+    (sol0.Solution.late_jobs > st0.Cp.Solver.lower_bound);
+  install dispatch inst0 sol0;
+  let inst1 = inst_at 1 in
+  let sol1, st1 = Cp.Session.solve session ~options inst1 in
+  let csol, cst = Cp.Solver.solve ~options inst1 in
+  Alcotest.(check int) "same optimum as the cold pass" csol.Solution.late_jobs
+    sol1.Solution.late_jobs;
+  Alcotest.(check (list string))
+    "feasible" []
+    (Solution.feasibility_errors inst1 sol1);
+  Alcotest.(check bool) "seed above the carried bound" true
+    (st1.Cp.Solver.seed_late > st1.Cp.Solver.lower_bound);
+  Alcotest.(check bool) "proved" true st1.Cp.Solver.proved_optimal;
+  Alcotest.(check string) "stop reason" "hit_carried_bound"
+    (Obs.Solve_stats.stop_reason_to_string st1.Cp.Solver.stop_reason);
+  Alcotest.(check int) "one certificate proof" 1
+    (Cp.Session.stats_cert_proofs session);
+  (st1, cst)
+
+(* Exact regime: the t = 1 search finds the carried optimum and stops at
+   the next interrupt poll, where the cold search (bounded only by the
+   instance's own zero) must exhaust the tree to prove it. *)
+let test_exact_stops_at_carried_bound () =
   Gen.reset_tasks ();
-  let pair at id =
+  let jobs =
+    List.mapi
+      (fun id (maps, deadline) ->
+        Gen.mk_job ~id ~deadline ~maps ~reduces:[] ())
+      [
+        ([ 11; 8 ], 22);
+        ([ 5; 8 ], 22);
+        ([ 7; 7 ], 19);
+        ([ 4; 11 ], 27);
+        ([ 7; 3 ], 13);
+        ([ 7; 7 ], 30);
+      ]
+  in
+  let later =
+    Gen.mk_job ~id:6 ~arrival:1 ~est:1 ~deadline:28 ~maps:[ 2 ] ~reduces:[] ()
+  in
+  let st, cst =
+    carried_pass ~map_cap:1 jobs ~later (proof_options Cp.Restart.Off)
+  in
+  Alcotest.(check string) "cold proves by exhaustion" "proved"
+    (Obs.Solve_stats.stop_reason_to_string cst.Cp.Solver.stop_reason);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer nodes than cold (%d vs %d)" st.Cp.Solver.nodes
+       cst.Cp.Solver.nodes)
+    true
+    (st.Cp.Solver.nodes < cst.Cp.Solver.nodes)
+
+(* LNS regime: the contending pair's t = 0 proof (one late job) bounds the
+   t = 1 pass, whose seed has two late jobs (every ordering runs job 1
+   before the short job 2).  The first move reaches one late job, and the
+   loop stops there; the cold LNS, bounded only by the instance's own
+   zero, keeps moving until it stalls. *)
+let test_lns_stops_at_carried_bound () =
+  Gen.reset_tasks ();
+  let jobs =
     [
-      Gen.mk_job ~id ~arrival:at ~est:at ~deadline:(at + 10) ~maps:[ 10 ]
-        ~reduces:[] ();
-      Gen.mk_job ~id:(id + 1) ~arrival:at ~est:at ~deadline:(at + 12)
-        ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
     ]
   in
-  let first = pair 0 0 in
-  let reservation =
-    Gen.mk_job ~id:2 ~est:200 ~deadline:400 ~maps:[ 5 ] ~reduces:[ 5 ] ()
+  let later =
+    Gen.mk_job ~id:2 ~arrival:1 ~est:1 ~deadline:13 ~maps:[ 2 ] ~reduces:[] ()
   in
-  let easy =
-    List.init 20 (fun k ->
-        let at = 30 + (10 * k) in
-        Gen.mk_job ~id:(3 + k) ~arrival:at ~est:at ~deadline:(at + 50)
-          ~maps:[ 2 ] ~reduces:[] ())
+  let options =
+    { (proof_options Cp.Restart.Off) with Cp.Solver.exact_task_limit = 0 }
   in
-  let last = pair 300 23 in
-  let jobs = first @ (reservation :: easy) @ last in
-  let options = proof_options Cp.Restart.Off in
-  let session = Cp.Session.create ~options () in
-  let dispatch = Hashtbl.create 64 in
-  let settled = ref 0 in
-  List.iter
-    (fun now ->
-      let inst = instance_at ~now ~map_cap:1 ~reduce_cap:1 dispatch jobs in
-      let ssol, sst = Cp.Session.solve session ~options inst in
-      let csol, _ = Cp.Solver.solve ~options inst in
-      Alcotest.(check int)
-        (Printf.sprintf "t=%d: same optimum" now)
-        csol.Solution.late_jobs ssol.Solution.late_jobs;
-      if sst.Cp.Solver.seed_late <= sst.Cp.Solver.lower_bound then
-        incr settled;
-      install dispatch inst ssol)
-    (0 :: List.init 20 (fun k -> 30 + (10 * k)) @ [ 300 ]);
-  Alcotest.(check int) "seed-settled passes" 20 !settled;
-  Alcotest.(check int) "no rebuild" 0 (Cp.Session.stats_rebuilds session);
-  Alcotest.(check int) "appended: both pairs and the reservation" 5
-    (Cp.Session.stats_appended_jobs session);
-  Alcotest.(check int) "retired: the first pair's and the reservation's" 4
-    (Cp.Session.stats_retracted session)
+  let st, cst = carried_pass ~map_cap:1 jobs ~later options in
+  Alcotest.(check int) "one LNS move" 1 st.Cp.Solver.lns_moves;
+  Alcotest.(check string) "cold LNS stalls" "lns_stall"
+    (Obs.Solve_stats.stop_reason_to_string cst.Cp.Solver.stop_reason);
+  Alcotest.(check bool) "cold LNS moves past the optimum" true
+    (cst.Cp.Solver.lns_moves > 1)
 
 (* An empty invocation (every job already departed) must come back optimal
    with zero late jobs and leave the session healthy for a later arrival. *)
@@ -350,7 +454,7 @@ let test_empty_invocation () =
       ~reduces:[ 2 ] ()
   in
   let options = proof_options Cp.Restart.Off in
-  let session = Cp.Session.create ~options () in
+  let session = Cp.Session.create () in
   let dispatch = Hashtbl.create 16 in
   let solve_at now =
     let inst =
@@ -429,16 +533,24 @@ let test_no_session_bit_identity () =
   Alcotest.(check bool) "proved" dstats.Cp.Solver.proved_optimal
     mstats.Cp.Solver.proved_optimal
 
-(* Instrumented session solves surface the session counters in stats; their
-   per-invocation deltas must sum to the same totals the introspection
-   accessors report. *)
+(* Instrumented session solves surface [session/cert_proofs] in stats; its
+   per-invocation values must sum to the total the introspection accessor
+   reports. *)
 let test_session_metrics () =
-  let jobs = contention_stream () in
+  Gen.reset_tasks ();
+  let jobs =
+    [
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:2 ~arrival:1 ~est:1 ~deadline:100 ~maps:[ 2 ]
+        ~reduces:[] ();
+    ]
+  in
   let options =
     { (proof_options Cp.Restart.Off) with Cp.Solver.instrument = true }
   in
   let snaps = ref [] in
-  let _session =
+  let session =
     drive ~options ~map_cap:1 ~reduce_cap:1 jobs
       (fun _ (_, sst) _ ->
         match sst.Cp.Solver.metrics with
@@ -446,19 +558,12 @@ let test_session_metrics () =
         | None -> Alcotest.fail "instrumented session solve without metrics")
   in
   let merged = Obs.Metrics.merge_all (List.rev !snaps) in
-  let counter name =
-    match List.assoc_opt name merged.Obs.Metrics.counters with
-    | Some v -> v
-    | None -> Alcotest.failf "missing counter %s" name
-  in
-  Alcotest.(check int) "session/appended_jobs" 4
-    (counter "session/appended_jobs");
-  Alcotest.(check int) "session/retracted" 2 (counter "session/retracted");
-  Alcotest.(check int) "session/rebuilds" 0 (counter "session/rebuilds");
-  Alcotest.(check bool) "session/cert_proofs present" true
-    (List.mem_assoc "session/cert_proofs" merged.Obs.Metrics.counters);
-  Alcotest.(check bool) "store/words_allocated present" true
-    (List.mem_assoc "store/words_allocated" merged.Obs.Metrics.counters)
+  Alcotest.(check (option int))
+    "session/cert_proofs sums to the accessor"
+    (Some (Cp.Session.stats_cert_proofs session))
+    (List.assoc_opt "session/cert_proofs" merged.Obs.Metrics.counters);
+  Alcotest.(check int) "one certificate proof" 1
+    (Cp.Session.stats_cert_proofs session)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -471,8 +576,8 @@ let () =
             prop_session_matches_cold ~restart:Cp.Restart.Off ~count:35
               "session = cold optimum (no restarts)";
             prop_session_matches_cold ~restart:(Cp.Restart.Luby 16) ~count:20
-              "session = cold optimum (luby restarts, carried nogoods)";
-            prop_session_counters;
+              "session = cold optimum (luby restarts)";
+            prop_fresh_session_is_cold;
           ] );
       ( "deterministic",
         [
@@ -480,8 +585,10 @@ let () =
             test_counters_deterministic;
           Alcotest.test_case "certificate carries a proof" `Quick
             test_cert_proof;
-          Alcotest.test_case "plans remembered for store tasks only" `Quick
-            test_remember_store_tasks;
+          Alcotest.test_case "exact regime stops at the carried bound" `Quick
+            test_exact_stops_at_carried_bound;
+          Alcotest.test_case "LNS regime stops at the carried bound" `Quick
+            test_lns_stops_at_carried_bound;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
           Alcotest.test_case "--no-session bit-identity" `Quick
